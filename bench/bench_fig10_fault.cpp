@@ -6,7 +6,7 @@
 // ratio (a single fibre carries many pairs' traffic) and returns to the
 // pre-failure level after repair — points near the y=x line of Fig. 10.
 #include "bench_common.h"
-#include "engine/failure_injector.h"
+#include "engine/fault_scenario.h"
 #include "stats/table.h"
 
 using namespace negbench;
@@ -58,8 +58,9 @@ int main() {
           const Nanos fail_at = phase;
           const Nanos repair_at = 2 * phase;
           const Nanos end = 3 * phase;
-          inject_random_failures(runner.fabric(), ratio, fail_at, repair_at,
-                                 rng);
+          FaultScenario()
+              .uniform_burst({ratio, fail_at, repair_at})
+              .install(runner.fabric(), rng);
           runner.fabric().goodput().set_measure_interval(0, end);
           runner.fabric().run_until(end);
           const auto& g = runner.fabric().goodput();

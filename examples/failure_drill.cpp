@@ -6,23 +6,44 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "engine/failure_injector.h"
+#include "engine/fault_scenario.h"
 #include "engine/runner.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
 using namespace negotiator;
 
+namespace {
+
+[[noreturn]] void usage(const char* message) {
+  std::fprintf(stderr, "failure_drill: %s\n"
+                       "usage: failure_drill [failure_percent] [horizon_ms]\n",
+               message);
+  std::exit(2);
+}
+
+/// Strict decimal parse: the whole argument must be a number.
+double parse_number(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0') usage("arguments must be numbers");
+  return v;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const double fail_pct = argc > 1 ? std::atof(argv[1]) : 8.0;
-  const double horizon_ms = argc > 2 ? std::atof(argv[2]) : 4.5;
+  if (argc > 3) usage("too many arguments");
+  const double fail_pct = argc > 1 ? parse_number(argv[1]) : 8.0;
+  const double horizon_ms = argc > 2 ? parse_number(argv[2]) : 4.5;
+  if (!(fail_pct >= 0.0 && fail_pct <= 100.0)) {
+    usage("failure_percent must be in [0, 100]");
+  }
   // Need at least one full 1/45-horizon measurement window (>= 1 ns each),
   // or the window arithmetic below degenerates; the upper bound keeps the
   // nanosecond horizon inside int64.
   if (!(horizon_ms * kMilli >= 45) || horizon_ms > 1e9) {
-    std::fprintf(stderr, "failure_drill: horizon_ms must be in "
-                         "[0.000045, 1e9]\n");
-    return 2;
+    usage("horizon_ms must be in [0.000045, 1e9]");
   }
   NetworkConfig cfg;
   cfg.topology = TopologyKind::kParallel;
@@ -52,11 +73,13 @@ int main(int argc, char** argv) {
   const Nanos fail_at = end / 3;
   const Nanos repair_at = 2 * end / 3;
   Rng rng(11);
-  const auto failed = inject_random_failures(
-      runner.fabric(), fail_pct / 100.0, fail_at, repair_at, rng);
+  const ScenarioTimeline failed =
+      FaultScenario()
+          .uniform_burst({fail_pct / 100.0, fail_at, repair_at})
+          .install(runner.fabric(), rng);
   std::printf("drill: %zu of %d directed fibres fail at %.1f ms, repaired "
               "at %.1f ms\n\n",
-              failed.size(), runner.fabric().links().total_links(),
+              failed.failure_count(), runner.fabric().links().total_links(),
               fail_at / 1e6, repair_at / 1e6);
 
   runner.fabric().goodput().set_measure_interval(0, end);

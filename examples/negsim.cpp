@@ -11,10 +11,15 @@
 //          [--csv out.csv]
 //
 // Prints a one-line result; with --csv, appends a machine-readable row.
+// Malformed numbers and invalid configurations exit 2 with a message.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "engine/runner.h"
@@ -30,6 +35,30 @@ namespace {
                        "for the full flag list)\n",
                message);
   std::exit(2);
+}
+
+/// Strict numeric parses: the whole argument must be one in-range number.
+long long parse_integer(const char* text, long long lo, long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    usage((std::string("bad integer '") + text + "'").c_str());
+  }
+  return v;
+}
+
+int parse_int(const char* text) {
+  return static_cast<int>(parse_integer(text, INT_MIN, INT_MAX));
+}
+
+double parse_double(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) {
+    usage((std::string("bad number '") + text + "'").c_str());
+  }
+  return v;
 }
 
 SchedulerKind parse_scheduler(const std::string& name) {
@@ -56,7 +85,8 @@ SizeDistribution parse_workload(const std::string& name) {
   if (name == "web-search") return SizeDistribution::web_search();
   if (name == "google") return SizeDistribution::google();
   if (name.rfind("fixed:", 0) == 0) {
-    return SizeDistribution::fixed(std::atoll(name.c_str() + 6));
+    return SizeDistribution::fixed(
+        parse_integer(name.c_str() + 6, LLONG_MIN, LLONG_MAX));
   }
   usage("unknown workload");
 }
@@ -90,19 +120,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--workload") {
       workload = value();
     } else if (arg == "--load") {
-      load = std::atof(value());
+      load = parse_double(value());
     } else if (arg == "--duration-ms") {
-      duration_ms = std::atof(value());
+      duration_ms = parse_double(value());
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      cfg.seed =
+          static_cast<std::uint64_t>(parse_integer(value(), 0, LLONG_MAX));
     } else if (arg == "--tors") {
-      cfg.num_tors = std::atoi(value());
+      cfg.num_tors = parse_int(value());
     } else if (arg == "--ports") {
-      cfg.ports_per_tor = std::atoi(value());
+      cfg.ports_per_tor = parse_int(value());
     } else if (arg == "--speedup") {
-      cfg.speedup = std::atof(value());
+      cfg.speedup = parse_double(value());
     } else if (arg == "--iterations") {
-      cfg.variant.iterations = std::atoi(value());
+      cfg.variant.iterations = parse_int(value());
     } else if (arg == "--no-piggyback") {
       cfg.piggyback = false;
     } else if (arg == "--no-pq") {
@@ -114,9 +145,16 @@ int main(int argc, char** argv) {
     }
   }
   if (load <= 0 || duration_ms <= 0) usage("load/duration must be positive");
-  cfg.validate();
-
-  const auto sizes = parse_workload(workload);
+  // Keeps the nanosecond horizon inside int64.
+  if (duration_ms > 1e9) usage("duration must be at most 1e9 ms");
+  const SizeDistribution sizes = [&] {
+    try {
+      cfg.validate();
+      return parse_workload(workload);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
+  }();
   const auto duration = static_cast<Nanos>(duration_ms * kMilli);
   WorkloadGenerator gen(sizes, cfg.num_tors, cfg.host_rate(), load,
                         Rng(cfg.seed));

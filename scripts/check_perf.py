@@ -28,14 +28,6 @@ Gating:
     the plain scaling row) must exist, be non-empty, and its row
     fingerprints must match the committed baseline — the lossy-data rows
     are the data-fault path's bit-identity witness;
-  - the fresh intra_run section (one engine run per fig9 system at sim
-    worker-thread counts 1, 2, and hardware concurrency — the sharded
-    epoch/slot pipeline) must exist, be non-empty, and its row fingerprints
-    must match the committed baseline like every other section. On top of
-    that, *inside the fresh file* every system's threads=k fingerprint must
-    equal its threads=1 fingerprint — the intra-run sharding determinism
-    witness: a mismatch means the worker pool's shard merge is not
-    reproducing the serial slot walk bit for bit;
   - a readable committed baseline must carry every fingerprinted section
     the fresh run produced. A missing baseline section means the committed
     BENCH_perf.json predates the section and was never regenerated, so the
@@ -158,56 +150,6 @@ def check_section(fresh, baseline, section, missing_hint, mismatch_hint):
     return failed
 
 
-def check_intra_run_identity(fresh):
-    """Gates the in-file sharding determinism witness: for every system in
-    the intra_run section, the threads=k fingerprint must equal the
-    threads=1 fingerprint (the section's rows are the same simulation run
-    at different sim worker-thread counts, so any divergence means the
-    shard merge broke bit-identity). Returns True when gating failed."""
-    rows = fresh.get("intra_run", [])
-    if not rows:
-        return False  # check_section already errored on the empty section
-    groups = {}
-    for r in rows:
-        key = (r.get("name"), r.get("num_tors"), r.get("sim_ns"))
-        groups.setdefault(key, {})[r.get("threads")] = r.get("fingerprint")
-    failed = False
-    compared = 0
-    for key in sorted(groups):
-        by_threads = groups[key]
-        name, n, sim_ns = key
-        base = by_threads.get(1)
-        if base is None:
-            print(f"::error::intra_run has no threads=1 row for {name} "
-                  f"N={n} — the serial reference for the sharding "
-                  "determinism witness is missing")
-            failed = True
-            continue
-        if len(by_threads) < 2:
-            print(f"::error::intra_run has only the threads=1 row for "
-                  f"{name} N={n} — no multi-thread row means the sharded "
-                  "pipeline ships without a bit-identity witness")
-            failed = True
-            continue
-        for threads in sorted(by_threads):
-            if threads == 1:
-                continue
-            compared += 1
-            if by_threads[threads] != base:
-                print(f"::error::intra_run fingerprint mismatch for {name} "
-                      f"N={n} sim_ns={sim_ns}: threads={threads} produced "
-                      f"{by_threads[threads]} but threads=1 produced {base} "
-                      "— the sharded slot pipeline diverged from the "
-                      "serial walk")
-                failed = True
-    if compared:
-        reason = fresh.get("intra_run_skipped_reason")
-        note = f" (timing caveat: {reason})" if reason else ""
-        print(f"intra-run determinism: {compared} multi-thread fingerprints "
-              f"compared against their serial reference{note}")
-    return failed
-
-
 def scaling_shapes(rows):
     """Per (system, sim_ns): events/sec at N=256 over events/sec at N=16."""
     by_key = {(r["name"], r["num_tors"], r.get("sim_ns")): r for r in rows}
@@ -296,13 +238,6 @@ def main():
                      "the lossy data plane",
                      "the lossy data plane (per-hop drop/corrupt or the "
                      "end-host ARQ) changed behaviour"):
-        failed = True
-    if check_section(fresh, baseline, "intra_run",
-                     "the intra-run sharded pipeline",
-                     "the sharded epoch/slot pipeline changed the "
-                     "simulated output"):
-        failed = True
-    if check_intra_run_identity(fresh):
         failed = True
     check_scaling_shape(fresh, baseline)
 

@@ -4,16 +4,7 @@
 # against the paper's evaluation (§4).
 #
 # Usage:
-#   scripts/run_benches.sh [--threads N] [--sim-threads K] [--paper-scale] \
-#                          [build-dir]
-#
-# --threads N controls the *across-runs* pool (SweepEngine workers);
-# --sim-threads K controls the *intra-run* shard pool (NEG_SIM_THREADS,
-# engine/slot_shard_executor.h) — every bench then runs its simulations
-# with K worker threads sharding each slot, and the fingerprints recorded
-# in BENCH_perf.json must come out identical to a serial run (check_perf.py
-# gates that). K may be "hw" for hardware concurrency. Either way the bench
-# output is byte-identical; only wall time moves.
+#   scripts/run_benches.sh [--threads N] [--paper-scale] [build-dir]
 #
 # --paper-scale runs the full paper-fidelity sweep: NEG_DURATION_MS=30
 # (the paper's simulated duration, ~15x the smoke default) unless the
@@ -27,9 +18,6 @@
 #   NEG_BENCH_THREADS  sweep worker threads per bench (default: hardware
 #                      concurrency; --threads overrides). Any value yields
 #                      byte-identical bench output — only wall time moves.
-#   NEG_SIM_THREADS    intra-run shard workers per simulation (default:
-#                      unset = serial; --sim-threads overrides). Same
-#                      byte-identical contract as NEG_BENCH_THREADS.
 #   NEG_PERF_JSON      where bench_perf_engine writes its machine-readable
 #                      results (default: <repo>/BENCH_perf.json), the
 #                      repo's perf trajectory.
@@ -38,7 +26,6 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 threads="${NEG_BENCH_THREADS:-}"
-sim_threads="${NEG_SIM_THREADS:-}"
 paper_scale=0
 positional=()
 while [[ $# -gt 0 ]]; do
@@ -48,11 +35,6 @@ while [[ $# -gt 0 ]]; do
       threads="$2"; shift 2 ;;
     --threads=*)
       threads="${1#--threads=}"; shift ;;
-    --sim-threads)
-      [[ $# -ge 2 ]] || { echo "error: --sim-threads needs a value" >&2; exit 2; }
-      sim_threads="$2"; shift 2 ;;
-    --sim-threads=*)
-      sim_threads="${1#--sim-threads=}"; shift ;;
     --paper-scale)
       paper_scale=1; shift ;;
     *)
@@ -73,13 +55,6 @@ if ! [[ "${threads}" =~ ^[0-9]+$ && "${threads}" -ge 1 ]]; then
   exit 2
 fi
 export NEG_BENCH_THREADS="${threads}"
-if [[ -n "${sim_threads}" ]]; then
-  if ! [[ "${sim_threads}" == "hw" || ( "${sim_threads}" =~ ^[0-9]+$ && "${sim_threads}" -ge 1 ) ]]; then
-    echo "error: invalid sim-thread count '${sim_threads}' (positive integer or 'hw')" >&2
-    exit 2
-  fi
-  export NEG_SIM_THREADS="${sim_threads}"
-fi
 
 build_dir="${positional[0]:-${repo_root}/build}"
 bench_dir="${build_dir}/bench"
@@ -94,9 +69,6 @@ fi
 mkdir -p "${out_dir}"
 
 echo "sweep threads: ${NEG_BENCH_THREADS}"
-if [[ -n "${NEG_SIM_THREADS:-}" ]]; then
-  echo "intra-run sim threads: ${NEG_SIM_THREADS} (NEG_SIM_THREADS)"
-fi
 
 # bench_perf_engine emits the machine-readable perf trajectory (including
 # the chosen thread count as "bench_threads"); keep it at the repo root so

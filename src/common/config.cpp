@@ -79,7 +79,6 @@ void NetworkConfig::validate() const {
     fail("scheduled slot too short to carry any payload");
   }
   if (request_threshold_packets < 0) fail("request threshold must be >= 0");
-  if (sim_threads < 0) fail("sim_threads must be >= 0 (0 = env/default)");
   if (scheduler == SchedulerKind::kNegotiatorIterative &&
       variant.iterations < 1) {
     fail("iterative variant needs iterations >= 1");

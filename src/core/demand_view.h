@@ -42,9 +42,7 @@ class DemandView {
   /// Final destinations with relayed bytes parked at `tor`, ascending.
   virtual const ActiveSet& relay_active_destinations(TorId tor) const = 0;
   /// ToRs holding any parked relay bytes, ascending. Default: none (only
-  /// the selective-relay fabric has relay queues). The function-local
-  /// static is const and C++11 magic-static initialized, so concurrent
-  /// first calls from shard workers are safe.
+  /// the selective-relay fabric has relay queues).
   virtual const ActiveSet& relay_active_sources() const {
     static const ActiveSet kEmpty;
     return kEmpty;

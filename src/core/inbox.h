@@ -14,14 +14,6 @@
 //    pipeline iterates that instead of scanning all N ToRs.
 //  - clear() resets only the dirty owners' counters (who clears: the
 //    scheduler at its clear_inboxes() stage), so a quiescent epoch is O(1).
-//
-// Thread-safety contract: owners() and for_owner() are const but *lazily
-// materialize* mutable caches (the sorted dirty list and the grouped
-// buffer), so a first call is a write. Concurrent readers — the shard
-// executor's workers walking disjoint owner ranges — must be preceded by
-// one serial prepare() call, after which owners()/for_owner() are pure
-// reads until the next push()/clear(). push() and clear() are
-// single-thread only.
 #pragma once
 
 #include <algorithm>
@@ -83,14 +75,6 @@ class InboxArena {
       sorted_valid_ = true;
     }
     return touched_;
-  }
-
-  /// Forces both lazy caches (the sorted owner list and the grouped
-  /// buffer) so subsequent owners()/for_owner() calls are pure reads —
-  /// call once, single-threaded, before fanning readers out to workers.
-  void prepare() const {
-    owners();
-    if (!grouped_valid_ && !items_.empty()) group();
   }
 
   /// Messages delivered to `owner`, in delivery order.

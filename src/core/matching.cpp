@@ -40,15 +40,8 @@ MatchingEngine::MatchingEngine(const FlatTopology& topo,
           topo_.rx_port(src, topo_.fixed_tx_port(src, probe), probe);
     }
   }
-  prepare_scratch(scratch_);
-}
-
-void MatchingEngine::prepare_scratch(Scratch& scratch) const {
-  const auto n = static_cast<std::size_t>(topo_.num_tors());
-  if (scratch.slot_of_tor.size() != n) {
-    scratch.slot_of_tor.assign(n, -1);
-    scratch.touched.reserve(n);
-  }
+  slot_of_tor_.assign(static_cast<std::size_t>(n), -1);
+  touched_.reserve(static_cast<std::size_t>(n));
 }
 
 RoundRobinRing& MatchingEngine::grant_ring(TorId dst, PortId rx) {
@@ -67,16 +60,6 @@ RoundRobinRing& MatchingEngine::accept_ring(TorId src, PortId tx) {
 MatchingEngine::GrantResult MatchingEngine::grant(
     TorId dst, std::span<const RequestMsg> requests,
     const std::vector<bool>& rx_eligible, Bytes epoch_capacity) {
-  return grant(dst, requests, rx_eligible, epoch_capacity, scratch_);
-}
-
-MatchingEngine::GrantResult MatchingEngine::grant(
-    TorId dst, std::span<const RequestMsg> requests,
-    const std::vector<bool>& rx_eligible, Bytes epoch_capacity,
-    Scratch& scratch) {
-  prepare_scratch(scratch);
-  auto& slot_of_tor_ = scratch.slot_of_tor;
-  auto& touched_ = scratch.touched;
   const int ports = topo_.ports_per_tor();
   NEG_ASSERT(static_cast<int>(rx_eligible.size()) == ports,
              "rx_eligible size mismatch");
@@ -171,18 +154,6 @@ MatchingEngine::GrantResult MatchingEngine::grant(
 MatchingEngine::AcceptResult MatchingEngine::accept(
     TorId src, std::span<const GrantMsg> grants,
     const std::vector<bool>& tx_eligible) {
-  return accept(src, grants, tx_eligible, scratch_);
-}
-
-MatchingEngine::AcceptResult MatchingEngine::accept(
-    TorId src, std::span<const GrantMsg> grants,
-    const std::vector<bool>& tx_eligible, Scratch& scratch) {
-  prepare_scratch(scratch);
-  auto& slot_of_tor_ = scratch.slot_of_tor;
-  auto& touched_ = scratch.touched;
-  auto& by_port_head_ = scratch.by_port_head;
-  auto& by_port_tail_ = scratch.by_port_tail;
-  auto& next_in_port_ = scratch.next_in_port;
   const int ports = topo_.ports_per_tor();
   NEG_ASSERT(static_cast<int>(tx_eligible.size()) == ports,
              "tx_eligible size mismatch");

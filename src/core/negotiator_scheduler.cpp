@@ -3,7 +3,6 @@
 #include <span>
 
 #include "common/assert.h"
-#include "engine/slot_shard_executor.h"
 #include "core/variants/centralized.h"
 #include "core/variants/informative.h"
 #include "core/variants/iterative.h"
@@ -28,18 +27,13 @@ NegotiatorScheduler::NegotiatorScheduler(const NetworkConfig& config,
 
 NegotiatorScheduler::PairOut& NegotiatorScheduler::outbox(TorId from,
                                                           TorId to) {
-  return outbox_into(from, to, out_pairs_);
-}
-
-NegotiatorScheduler::PairOut& NegotiatorScheduler::outbox_into(
-    TorId from, TorId to, std::vector<std::pair<TorId, TorId>>& pairs) {
   NEG_ASSERT(from != to, "no self messages");
   const std::size_t index =
       static_cast<std::size_t>(from) * topo_.num_tors() + to;
   PairOut& entry = out_[index];
   if (out_stamp_[index] != epoch_) {
     out_stamp_[index] = epoch_;
-    pairs.emplace_back(from, to);
+    out_pairs_.emplace_back(from, to);
     entry.has_request = entry.has_accept = false;
     entry.grants.clear();
     entry.relay_requests.clear();
@@ -165,13 +159,9 @@ void NegotiatorScheduler::begin_epoch(std::int64_t epoch, Nanos now,
 
 void NegotiatorScheduler::compute_accepts(const DemandView& /*demand*/,
                                           const FaultPlane& faults) {
-  if (inbox_grants_.empty()) return;
-  if (shard_exec_ != nullptr && shard_exec_->parallel()) {
-    compute_accepts_sharded(faults);
-    return;
-  }
   const int ports = topo_.ports_per_tor();
   std::vector<bool> tx_eligible(static_cast<std::size_t>(ports));
+  if (inbox_grants_.empty()) return;
   // Dirty-set walk: only ToRs that actually received grants (ascending, so
   // processing order matches the historical dense 0..N-1 scan).
   for (const TorId s : inbox_grants_.owners()) {
@@ -218,128 +208,13 @@ void NegotiatorScheduler::compute_accepts(const DemandView& /*demand*/,
   }
 }
 
-// The sharded owner walks. Worker-side writes are confined to per-owner
-// state — the owner's matching rings and its out_/out_stamp_ rows (owner =
-// the message's `from`, so rows are disjoint across owners), plus, for
-// grants, the host plane's per-owner pause row (rx_paused lazily drains
-// only `d`'s buffer and its result is a pure function of state and now) —
-// and to the worker's own ComputeShard. Committing the ComputeShards in
-// ascending shard order reproduces the serial ascending-owner walk: the
-// matches_ and out_pairs_ concatenations land in exactly the order the
-// serial loop would have appended them, and the counters are sums.
-void NegotiatorScheduler::compute_accepts_sharded(const FaultPlane& faults) {
-  const int ports = topo_.ports_per_tor();
-  inbox_grants_.prepare();  // force the lazy caches before forking workers
-  const std::span<const std::int32_t> owners = inbox_grants_.owners();
-  compute_shards_.resize(static_cast<std::size_t>(shard_exec_->shards()));
-  shard_exec_->for_shards(
-      static_cast<int>(owners.size()),
-      [&](int shard, SlotShardExecutor::Range range) {
-        ComputeShard& cs = compute_shards_[static_cast<std::size_t>(shard)];
-        cs.matches.clear();
-        cs.out_pairs.clear();
-        cs.count = 0;
-        cs.eligible.assign(static_cast<std::size_t>(ports), false);
-        for (int i = range.begin; i < range.end; ++i) {
-          const TorId s = owners[static_cast<std::size_t>(i)];
-          const std::span<const GrantMsg> grants = inbox_grants_.for_owner(s);
-          if (grants.empty()) continue;
-          for (PortId p = 0; p < ports; ++p) {
-            cs.eligible[static_cast<std::size_t>(p)] =
-                !faults.tx_excluded(s, p);
-          }
-          auto result = matching_.accept(s, grants, cs.eligible, cs.scratch);
-          cs.count += result.matches.size();
-          for (const Match& m : result.matches) {
-            cs.matches.push_back(m);
-            AcceptMsg a;
-            a.src = s;
-            a.dst = m.dst;
-            a.tx_port = m.tx_port;
-            a.rx_port = m.rx_port;
-            a.accepted = true;
-            PairOut& entry = outbox_into(s, m.dst, cs.out_pairs);
-            entry.has_accept = true;
-            entry.accept = a;
-          }
-          for (const GrantMsg& g : grants) {
-            bool accepted = false;
-            for (const Match& m : result.matches) {
-              if (m.dst == g.dst && m.rx_port == g.rx_port) {
-                accepted = true;
-                break;
-              }
-            }
-            if (accepted) continue;
-            PairOut& entry = outbox_into(s, g.dst, cs.out_pairs);
-            if (entry.has_accept) continue;  // an acceptance dominates
-            AcceptMsg a;
-            a.src = s;
-            a.dst = g.dst;
-            a.rx_port = g.rx_port;
-            a.accepted = false;
-            entry.has_accept = true;
-            entry.accept = a;
-          }
-        }
-      });
-  for (const ComputeShard& cs : compute_shards_) {
-    epoch_accepts_ += cs.count;
-    matches_.insert(matches_.end(), cs.matches.begin(), cs.matches.end());
-    out_pairs_.insert(out_pairs_.end(), cs.out_pairs.begin(),
-                      cs.out_pairs.end());
-  }
-}
-
-void NegotiatorScheduler::compute_grants_sharded(const DemandView& demand,
-                                                 const FaultPlane& faults) {
-  const int ports = topo_.ports_per_tor();
-  inbox_requests_.prepare();
-  const std::span<const std::int32_t> owners = inbox_requests_.owners();
-  compute_shards_.resize(static_cast<std::size_t>(shard_exec_->shards()));
-  shard_exec_->for_shards(
-      static_cast<int>(owners.size()),
-      [&](int shard, SlotShardExecutor::Range range) {
-        ComputeShard& cs = compute_shards_[static_cast<std::size_t>(shard)];
-        cs.out_pairs.clear();
-        cs.count = 0;
-        cs.eligible.assign(static_cast<std::size_t>(ports), false);
-        for (int i = range.begin; i < range.end; ++i) {
-          const TorId d = owners[static_cast<std::size_t>(i)];
-          const std::span<const RequestMsg> requests =
-              inbox_requests_.for_owner(d);
-          if (requests.empty()) continue;
-          if (demand.rx_paused(d)) continue;
-          for (PortId p = 0; p < ports; ++p) {
-            cs.eligible[static_cast<std::size_t>(p)] =
-                !faults.rx_excluded(d, p);
-          }
-          auto result = matching_.grant(d, requests, cs.eligible,
-                                        epoch_capacity_bytes(), cs.scratch);
-          cs.count += result.grants.size();
-          for (auto& [src, g] : result.grants) {
-            outbox_into(d, src, cs.out_pairs).grants.push_back(g);
-          }
-        }
-      });
-  for (const ComputeShard& cs : compute_shards_) {
-    epoch_grants_ += cs.count;
-    out_pairs_.insert(out_pairs_.end(), cs.out_pairs.begin(),
-                      cs.out_pairs.end());
-  }
-}
-
 void NegotiatorScheduler::consume_accept_inbox(const DemandView&) {}
 
 void NegotiatorScheduler::compute_grants(const DemandView& demand,
                                          const FaultPlane& faults) {
-  if (inbox_requests_.empty()) return;
-  if (shard_exec_ != nullptr && shard_exec_->parallel()) {
-    compute_grants_sharded(demand, faults);
-    return;
-  }
   const int ports = topo_.ports_per_tor();
   std::vector<bool> rx_eligible(static_cast<std::size_t>(ports));
+  if (inbox_requests_.empty()) return;
   // Dirty-set walk: only ToRs with pending requests, ascending.
   for (const TorId d : inbox_requests_.owners()) {
     const std::span<const RequestMsg> requests =

@@ -38,8 +38,7 @@ namespace negotiator {
 /// One-shot uniform random link failures: `fraction` of all directed
 /// links (chosen uniformly without replacement) fail at `fail_at` and
 /// repair at `repair_at` (kNeverNs = never). Exactly the legacy
-/// inject_random_failures model — the shim in engine/failure_injector.h
-/// delegates here and stays byte-identical.
+/// inject_random_failures model, draw for draw.
 struct UniformBurstSpec {
   double fraction{0.05};
   Nanos fail_at{0};

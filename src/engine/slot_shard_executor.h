@@ -1,150 +1,11 @@
-// Intra-run parallelism: shards the per-slot/per-epoch hot loops of a
-// single simulation across a worker pool, one contiguous source range per
-// shard (ROADMAP item 1 — the level *below* the sweep engine's
-// run-per-thread fan-out).
-//
-// Determinism contract (the whole point): a sharded slot is split into a
-// *plan* phase and a *commit* phase.
-//
-//   plan    Workers scan disjoint, contiguous source ranges. They may
-//           mutate per-source state their shard owns (ToR queues, relay
-//           queues, rotation cursors) and may read shared state that is
-//           frozen for the slot (topology, link state, the busy snapshot,
-//           scheduler outboxes), but every cross-source effect — delivery
-//           records, inbox messages, relay-train chunks, stats deltas —
-//           is appended to a shard-local staging buffer instead.
-//   commit  The caller thread replays the staging buffers in ascending
-//           shard index (= ascending source index, since shards are
-//           contiguous). Appends therefore land in exactly the order the
-//           sequential loop would have produced, so EventQueue sequence
-//           numbers, recorder updates and RNG-free fingerprints are
-//           bit-identical for any thread count — including 1.
-//
-// Slots whose sequential code consumes a shared RNG stream or mutates
-// cross-shard state mid-scan (lossy channels, fault windows, fallback
-// spreading) are *not* sharded: the fabrics gate on those conditions per
-// slot and take the unchanged serial path, which keeps the contract purely
-// structural instead of probabilistic.
-//
-// Thread-safety contract: for_shards() is the only concurrency primitive.
-// The executor itself is confined to the owning fabric's thread; worker
-// closures run concurrently but for_shards() does not return until all of
-// them have finished (ThreadPool::drain is the barrier), so no callback
-// outlives the call and the commit phase is plain single-threaded code.
+// Kept only because perfbench/negbench.cpp includes it and reports
+// resolve_threads(); every run is one serial slot walk.
 #pragma once
-
-#include <memory>
-#include <span>
-#include <utility>
-
-#include "common/thread_pool.h"
 
 namespace negotiator {
 
-class SlotShardExecutor {
- public:
-  /// A half-open contiguous index range [begin, end) — sources, owners,
-  /// bucket entries; whatever the call site partitions.
-  struct Range {
-    int begin{0};
-    int end{0};
-    int size() const { return end - begin; }
-    bool empty() const { return begin >= end; }
-    friend bool operator==(const Range&, const Range&) = default;
-  };
-
-  /// Spawns `threads - 1` pool workers (the caller thread runs shard 0).
-  /// Clamped to at least 1; with 1 thread no pool is created at all and
-  /// for_shards degenerates to one inline call.
-  explicit SlotShardExecutor(int threads);
-
-  SlotShardExecutor(const SlotShardExecutor&) = delete;
-  SlotShardExecutor& operator=(const SlotShardExecutor&) = delete;
-
-  int threads() const { return threads_; }
-  /// Shards per for_shards() call (== threads()).
-  int shards() const { return threads_; }
-  bool parallel() const { return threads_ > 1; }
-
-  /// The contiguous range shard `shard` owns when `n` items are split
-  /// `shards` ways: the first n % shards shards get one extra item, so
-  /// ranges differ in size by at most 1 and later shards may be empty
-  /// when n < shards. Pure function — tests exercise it directly.
-  static Range shard_range(int n, int shards, int shard);
-
-  /// Runs fn(shard_index, range) once per shard over [0, n). Shards
-  /// 1..k-1 execute on the pool, shard 0 on the caller thread; returns
-  /// only after every shard finished (rethrows the first worker
-  /// exception). Completion *order* is unconstrained — correctness must
-  /// come from the caller's ascending-shard commit loop, never from
-  /// timing.
-  template <typename Fn>
-  void for_shards(int n, Fn&& fn) {
-    if (!parallel()) {
-      fn(0, Range{0, n});
-      return;
-    }
-    for (int s = 1; s < threads_; ++s) {
-      const Range r = shard_range(n, threads_, s);
-      pool_->submit([&fn, s, r] { fn(s, r); });
-    }
-    fn(0, shard_range(n, threads_, 0));
-    pool_->drain();
-  }
-
-  /// for_shards with caller-supplied ranges — used when shard boundaries
-  /// must respect ownership groups (a predefined bucket sorted by source,
-  /// the live-match list grouped by source): the caller extends each
-  /// static boundary to the next group edge so no two shards ever touch
-  /// the same source's state. `ranges.size()` may be smaller than
-  /// shards(); ranges must be disjoint. Runs fn(i, ranges[i]) for every i,
-  /// range 0 on the caller thread, and blocks until all complete.
-  template <typename Fn>
-  void for_ranges(std::span<const Range> ranges, Fn&& fn) {
-    if (ranges.empty()) return;
-    if (!parallel() || ranges.size() == 1) {
-      for (std::size_t i = 0; i < ranges.size(); ++i) {
-        fn(static_cast<int>(i), ranges[i]);
-      }
-      return;
-    }
-    for (std::size_t i = 1; i < ranges.size(); ++i) {
-      const Range r = ranges[i];
-      const int s = static_cast<int>(i);
-      pool_->submit([&fn, s, r] { fn(s, r); });
-    }
-    fn(0, ranges[0]);
-    pool_->drain();
-  }
-
-  /// Splits [0, n) into up to shards() contiguous ranges whose boundaries
-  /// never fall inside a group, where `same_group(i)` says index i belongs
-  /// to the same group as index i-1. Appends the (possibly fewer, never
-  /// empty unless n == 0) ranges to `out`.
-  template <typename SameGroup>
-  void partition_by_group(int n, std::vector<Range>& out,
-                          SameGroup&& same_group) const {
-    out.clear();
-    int cursor = 0;
-    for (int s = 0; s < threads_ && cursor < n; ++s) {
-      int end = shard_range(n, threads_, s).end;
-      if (end < cursor) end = cursor;
-      while (end > cursor && end < n && same_group(end)) ++end;
-      if (end > cursor) out.push_back(Range{cursor, end});
-      cursor = end;
-    }
-  }
-
-  /// Resolves the effective thread count from the config knob: a positive
-  /// `configured` wins; 0 defers to the NEG_SIM_THREADS environment
-  /// variable ("hw" = hardware concurrency, else a positive integer),
-  /// defaulting to 1. Mirrors the sweep engine's NEG_BENCH_THREADS
-  /// convention one level down.
-  static int resolve_threads(int configured);
-
- private:
-  int threads_;
-  std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
+struct SlotShardExecutor {
+  static constexpr int resolve_threads(int) { return 1; }
 };
 
 }  // namespace negotiator

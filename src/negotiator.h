@@ -19,7 +19,7 @@
 #include "common/types.h"       // Nanos, Bytes, TorId, ...
 #include "common/units.h"       // Rate, byte literals
 #include "core/clock_sync.h"    // §3.6.3 guardband sizing
-#include "engine/failure_injector.h"  // §4.3 fault drills
+#include "engine/fault_scenario.h"    // §4.3 fault drills
 #include "engine/network.h"     // FabricSim / make_fabric
 #include "engine/runner.h"      // Runner / RunResult
 #include "stats/fct_recorder.h"

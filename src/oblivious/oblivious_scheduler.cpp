@@ -52,16 +52,6 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
     }
   }
 
-  // Intra-run sharding: same resolve-here contract as the negotiator
-  // fabric — threads == 1 never constructs the executor, so every path
-  // below is the unchanged serial code.
-  const int sim_threads =
-      SlotShardExecutor::resolve_threads(config_.sim_threads);
-  if (sim_threads > 1) {
-    shard_exec_ = std::make_unique<SlotShardExecutor>(sim_threads);
-    can_shard_slots_ = data_ == nullptr && transport_ == nullptr;
-  }
-
   const int cycle = rotor_.cycle_slots();
   const int n = config_.num_tors;
   const int ports = config_.ports_per_tor;
@@ -202,20 +192,6 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
   busy_scratch_.assign(busy_.begin(), busy_.end());
   const SlotConn* const slot_base =
       conn_table_.data() + static_cast<std::size_t>(slot) * n * ports;
-  // Advert quiescence (see the header notes): with no believers anywhere
-  // and no congested busy source, the advertisement block is a no-op for
-  // the whole slot — relay queues only drain within it — and the walk's
-  // only cross-source writes vanish, so the slot can shard.
-  const bool sharded =
-      healthy && can_shard_slots_ && total_believers_ == 0 &&
-      busy_scratch_.size() > 1 &&
-      std::none_of(busy_scratch_.begin(), busy_scratch_.end(),
-                   [this](TorId s) { return congested(s); });
-  if (sharded) {
-    run_slot_sharded(slot_base, payload, arrival);
-    close_slot(arrival, slot, global_slot);
-    return;
-  }
   for (const TorId s : busy_scratch_) {
     TorSwitch& tor = tors_[static_cast<std::size_t>(s)];
     RelayQueueSet& parked = relay_[static_cast<std::size_t>(s)];
@@ -235,9 +211,8 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
       auto& advert = advertised_congested_[static_cast<std::size_t>(m) * n + s];
       if (advert != cong) {
         advert = cong;
-        const int delta = cong ? 1 : -1;
-        peers_believe_congested_[static_cast<std::size_t>(s)] += delta;
-        total_believers_ += delta;
+        peers_believe_congested_[static_cast<std::size_t>(s)] +=
+            cong ? 1 : -1;
       }
       // 0. A pending retransmission for (s, m) outranks everything the
       // slot could otherwise carry (selective repeat: the lost unit is
@@ -331,11 +306,6 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
     }
     update_busy(s);
   }
-  close_slot(arrival, slot, global_slot);
-}
-
-void ObliviousFabric::close_slot(Nanos arrival, int slot,
-                                 std::int64_t global_slot) {
   // Close the slot: staged deliveries land as one span (deliveries book
   // before the train's relay receptions unpack — separate accumulators,
   // shared timestamp, so sums are unchanged), then everything appended
@@ -347,77 +317,6 @@ void ObliviousFabric::close_slot(Nanos arrival, int slot,
   if (auditor_ && slot == rotor_.cycle_slots() - 1) {
     audit_conservation(global_slot / rotor_.cycle_slots());
   }
-}
-
-void ObliviousFabric::run_slot_sharded(const SlotConn* slot_base,
-                                       Bytes payload, Nanos arrival) {
-  const int ports = config_.ports_per_tor;
-  slot_shards_.resize(static_cast<std::size_t>(shard_exec_->shards()));
-  shard_exec_->for_shards(
-      static_cast<int>(busy_scratch_.size()),
-      [this, slot_base, ports, payload](int sh,
-                                        SlotShardExecutor::Range range) {
-        // Channel-free, advert-quiescent twin of the serial scan: no
-        // retransmit branch, no fate draws, no advertisement writes, and
-        // every room check passes by precondition.
-        SlotShard& shard = slot_shards_[static_cast<std::size_t>(sh)];
-        shard.clear();
-        for (int i = range.begin; i < range.end; ++i) {
-          const TorId s = busy_scratch_[static_cast<std::size_t>(i)];
-          TorSwitch& tor = tors_[static_cast<std::size_t>(s)];
-          RelayQueueSet& parked = relay_[static_cast<std::size_t>(s)];
-          const SlotConn* const conns =
-              slot_base + static_cast<std::size_t>(s) * ports;
-          for (PortId p = 0; p < ports; ++p) {
-            const TorId m = conns[p].dst;
-            if (m == kInvalidTor) continue;
-            // 1. Second hop: deliver relayed data finally destined to m.
-            if (parked.bytes_for(m) > 0) {
-              RelayChunk chunk;
-              if (parked.dequeue_span(m, payload, 1, &chunk) == 1) {
-                shard.deliveries.push_back(
-                    DeliveryRecord{chunk.flow, m, chunk.bytes, chunk.seq});
-                continue;
-              }
-            }
-            // 2. VLB spread (room is guaranteed — no believers anywhere).
-            const TorId d = next_spread_dst(s, kInvalidTor);
-            if (d == kInvalidTor) continue;
-            if (d == m) {
-              if (auto pkt = tor.dequeue_packet(m, payload)) {
-                shard.deliveries.push_back(
-                    DeliveryRecord{pkt->flow, m, pkt->bytes, 0});
-              }
-              continue;
-            }
-            if (auto pkt = tor.dequeue_packet(d, payload)) {
-              shard.relay_receptions.push_back(
-                  RelayReception{m, pkt->bytes});
-              shard.train_chunks.push_back(
-                  RelayTrainChunk{m, d, pkt->flow, pkt->bytes, 0});
-            }
-          }
-          shard.touched_sources.push_back(s);
-        }
-      });
-  // Commit in ascending shard order == ascending source order: the
-  // delivery span, the relay-reception records, the train arena and the
-  // busy updates land exactly as the serial scan would emit them (the
-  // deferred update_busy reads the same post-slot state the inline call
-  // would have seen — nothing a later source does affects an earlier
-  // source's queues or beliefs within a quiescent slot).
-  for (SlotShard& shard : slot_shards_) {
-    delivery_build_.insert(delivery_build_.end(), shard.deliveries.begin(),
-                           shard.deliveries.end());
-    for (const RelayReception& r : shard.relay_receptions) {
-      goodput_.record_relay_reception(r.intermediate, r.bytes, arrival);
-    }
-    for (const RelayTrainChunk& c : shard.train_chunks) {
-      sim_.events().append_train_chunk(c);
-    }
-    for (const TorId s : shard.touched_sources) update_busy(s);
-  }
-  ++sharded_slots_;
 }
 
 void ObliviousFabric::audit_conservation(std::int64_t cycle) {

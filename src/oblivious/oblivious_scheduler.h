@@ -59,11 +59,6 @@ class ObliviousFabric final : public FabricSim, private EventSink {
 
   Nanos cycle_length_ns() const { return rotor_.cycle_length_ns(); }
 
-  int sim_threads() const override {
-    return shard_exec_ ? shard_exec_->threads() : 1;
-  }
-  std::uint64_t sharded_slots() const override { return sharded_slots_; }
-
   /// Lossy data channel (null when data_fault is disabled).
   const DataChannel* data_channel() const { return data_.get(); }
   /// End-host ARQ transport (null unless data_fault.enabled && .arq).
@@ -83,8 +78,6 @@ class ObliviousFabric final : public FabricSim, private EventSink {
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;
 
   void run_slot(std::int64_t global_slot);
-  /// Shared slot tail: delivery span flush, train commit, cycle audit.
-  void close_slot(Nanos arrival, int slot, std::int64_t global_slot);
   /// Drains the slot's staged second-hop/direct deliveries as one span:
   /// a single FlowTable credit walk and one goodput span at the shared
   /// arrival time, in the dequeue order the inline calls used.
@@ -160,54 +153,6 @@ class ObliviousFabric final : public FabricSim, private EventSink {
     std::uint32_t rx_link;  // LinkState raw index, ingress
   };
   std::vector<SlotConn> conn_table_;
-
-  // --- Intra-run sharding (engine/slot_shard_executor.h) ---
-  //
-  // The busy snapshot is the natural shard axis: each entry is one source
-  // owning its ToR switch, relay queues and spread pointer outright, so a
-  // plain contiguous split needs no group alignment. A slot is eligible
-  // only when it is healthy, channel-free (no data channel / ARQ — their
-  // shared RNG streams draw in scan order) and *advert-quiescent*: no peer
-  // anywhere believes any ToR congested (total_believers_ == 0) and no
-  // busy source is congested at slot start. Relay queues only drain
-  // within a slot (handoffs land at commit_train, after it), so under
-  // quiescence the advertisement block is a provable no-op for every
-  // connection and all room checks pass — the serial walk's only
-  // cross-source writes. Everything else a worker emits (deliveries,
-  // relay receptions, train chunks, busy updates) is staged per shard and
-  // committed in ascending shard order, reproducing the serial scan's
-  // per-arena append order bit for bit.
-
-  /// Per-shard effect buffer (plan-phase output).
-  struct RelayReception {
-    TorId intermediate;
-    Bytes bytes;
-  };
-  struct SlotShard {
-    std::vector<DeliveryRecord> deliveries;
-    std::vector<RelayReception> relay_receptions;
-    std::vector<RelayTrainChunk> train_chunks;
-    std::vector<TorId> touched_sources;  // update_busy at commit
-    void clear() {
-      deliveries.clear();
-      relay_receptions.clear();
-      train_chunks.clear();
-      touched_sources.clear();
-    }
-  };
-
-  /// One healthy, advert-quiescent slot sharded over the busy snapshot
-  /// (see the eligibility notes above).
-  void run_slot_sharded(const SlotConn* slot_base, Bytes payload,
-                        Nanos arrival);
-
-  std::unique_ptr<SlotShardExecutor> shard_exec_;  // null = serial build
-  bool can_shard_slots_{false};  // no data channel / ARQ on the hot path
-  /// Global sum of peers_believe_congested_ — maintained at every advert
-  /// flip so the slot-start quiescence check is O(busy), not O(N^2).
-  std::int64_t total_believers_{0};
-  std::vector<SlotShard> slot_shards_;
-  std::uint64_t sharded_slots_{0};
 
   /// Slot-local staging for final-destination deliveries (second-hop and
   /// lucky d == m spreads); flushed once per slot by flush_deliveries.

@@ -94,13 +94,6 @@ class ChunkFifo {
 };
 
 /// Relay queues for one ToR, indexed by final destination.
-///
-/// Thread-safety contract: not internally synchronized. One instance per
-/// ToR, mutated only by that ToR's shard during a sharded slot plan
-/// (engine/slot_shard_executor.h). Sharded slots require the whole set to
-/// be drain-only within the slot (handoffs land at commit, after it), so
-/// cross-source reads of relay totals (congestion adverts) see a stable
-/// snapshot — the oblivious fabric's advert-quiescence gate depends on it.
 class RelayQueueSet {
  public:
   explicit RelayQueueSet(int num_tors);
