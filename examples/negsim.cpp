@@ -12,6 +12,8 @@
 //
 // Prints a one-line result; with --csv, appends a machine-readable row.
 // Malformed numbers and invalid configurations exit 2 with a message.
+// --load is a fraction of host bandwidth (§4.1) and must lie in (0, 1];
+// --duration-ms must give a horizon of at least 1 ns.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -144,9 +146,13 @@ int main(int argc, char** argv) {
       usage(("unknown flag " + arg).c_str());
     }
   }
-  if (load <= 0 || duration_ms <= 0) usage("load/duration must be positive");
+  // Load is a fraction of host bandwidth; the generator's arrival rate
+  // scales with it, so a load far above 1 never finishes generating.
+  if (load <= 0 || load > 1) usage("load must be in (0, 1]");
   // Keeps the nanosecond horizon inside int64.
   if (duration_ms > 1e9) usage("duration must be at most 1e9 ms");
+  const auto duration = static_cast<Nanos>(duration_ms * kMilli);
+  if (duration < 1) usage("duration must be at least 1 ns (1e-6 ms)");
   const SizeDistribution sizes = [&] {
     try {
       cfg.validate();
@@ -155,7 +161,6 @@ int main(int argc, char** argv) {
       usage(e.what());
     }
   }();
-  const auto duration = static_cast<Nanos>(duration_ms * kMilli);
   WorkloadGenerator gen(sizes, cfg.num_tors, cfg.host_rate(), load,
                         Rng(cfg.seed));
   Runner runner(cfg);

@@ -91,8 +91,9 @@ struct DirectedLink {
 };
 
 /// All 2·N·P directed links in (tor asc, port asc, egress-then-ingress)
-/// order — the exact universe (and order) the legacy injector built, which
-/// the uniform-burst expansion must reproduce draw-for-draw.
+/// order. This universe and its order are part of the uniform burst's
+/// draw-order contract, which the
+/// FaultScenarioShim.InjectorMatchesLegacySelectionDrawForDraw test pins.
 std::vector<DirectedLink> link_universe(int num_tors, int ports) {
   std::vector<DirectedLink> all;
   all.reserve(static_cast<std::size_t>(2 * num_tors * ports));
@@ -106,8 +107,8 @@ std::vector<DirectedLink> link_universe(int num_tors, int ports) {
 }
 
 /// Partial Fisher-Yates: after this, the first min(target, all.size())
-/// entries are a uniform sample without replacement. Identical draw
-/// sequence to the legacy injector (one next_below per selected victim).
+/// entries are a uniform sample without replacement. One next_below per
+/// selected victim: the draw-order contract the uniform burst keeps.
 void select_victims(std::vector<DirectedLink>& all, std::size_t target,
                     Rng& rng) {
   for (std::size_t i = 0; i < target && i < all.size(); ++i) {

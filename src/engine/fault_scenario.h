@@ -37,8 +37,10 @@ namespace negotiator {
 
 /// One-shot uniform random link failures: `fraction` of all directed
 /// links (chosen uniformly without replacement) fail at `fail_at` and
-/// repair at `repair_at` (kNeverNs = never). Exactly the legacy
-/// inject_random_failures model, draw for draw.
+/// repair at `repair_at` (kNeverNs = never). Victim selection follows a
+/// fixed draw order, so a fixed seed always picks the same victims; the
+/// FaultScenarioShim.InjectorMatchesLegacySelectionDrawForDraw test pins
+/// it draw for draw.
 struct UniformBurstSpec {
   double fraction{0.05};
   Nanos fail_at{0};

@@ -100,22 +100,13 @@ void ObliviousFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
   }
 }
 
-void ObliviousFabric::on_relay_handoff(const RelayHandoffEvent& e,
-                                       Nanos now) {
-  relay_[static_cast<std::size_t>(e.intermediate)].enqueue(e.final_dst,
-                                                           e.flow, e.bytes,
-                                                           now);
-  busy_.insert(e.intermediate);
-}
-
 void ObliviousFabric::on_relay_train(const RelayTrainEvent& e,
                                      const RelayTrainChunk* chunks,
                                      Nanos now) {
   // A slot train interleaves intermediates (chunks ride in the slot's
-  // (src, port) scan order), so the unpack is per chunk — exactly the
-  // per-event handoff body it replaces, minus the per-event queue
-  // overhead. Per-chunk FIFO order at every intermediate is preserved
-  // because the span keeps the order the per-chunk events fired in.
+  // (src, port) scan order), so the unpack is per chunk. Per-chunk FIFO
+  // order at every intermediate is preserved because the span keeps the
+  // order the chunks were sent in.
   for (std::uint32_t i = 0; i < e.count; ++i) {
     const RelayTrainChunk& c = chunks[i];
     relay_[static_cast<std::size_t>(c.intermediate)].enqueue(
@@ -187,8 +178,9 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
   // Snapshot the dirty set: sources can go quiet mid-slot (queues drain),
   // and a conn of an already-quiet source replicates the dense scan's
   // no-op exactly. Nothing can *join* mid-slot — arrivals fired during
-  // advance_to, and handoffs land after the slot ends. Ascending order ==
-  // the dense scan's (src, port) order restricted to the busy subset.
+  // advance_to, and relay trains land after the slot ends. Ascending
+  // order == the dense scan's (src, port) order restricted to the busy
+  // subset.
   busy_scratch_.assign(busy_.begin(), busy_.end());
   const SlotConn* const slot_base =
       conn_table_.data() + static_cast<std::size_t>(slot) * n * ports;

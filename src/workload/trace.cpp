@@ -1,5 +1,7 @@
 #include "workload/trace.h"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -29,10 +31,20 @@ std::vector<Flow> load_trace(const std::string& path) {
     if (line.empty()) continue;
     std::istringstream ls(line);
     Flow f;
-    char comma;
-    if (!(ls >> f.id >> comma >> f.src >> comma >> f.dst >> comma >> f.size >>
-          comma >> f.arrival >> comma >> f.group)) {
+    std::array<char, 5> sep{};
+    const bool parsed =
+        static_cast<bool>(ls >> f.id >> sep[0] >> f.src >> sep[1] >> f.dst >>
+                          sep[2] >> f.size >> sep[3] >> f.arrival >> sep[4] >>
+                          f.group);
+    const bool commas = std::all_of(sep.begin(), sep.end(),
+                                    [](char c) { return c == ','; });
+    if (!parsed || !commas || !(ls >> std::ws).eof()) {
       throw std::runtime_error("load_trace: malformed line: " + line);
+    }
+    // Reject what the fabrics would assert on: a trace is outside input.
+    if (f.src < 0 || f.dst < 0 || f.src == f.dst || f.size < 1 ||
+        f.arrival < 0) {
+      throw std::runtime_error("load_trace: invalid flow: " + line);
     }
     flows.push_back(f);
   }

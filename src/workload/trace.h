@@ -13,7 +13,9 @@ namespace negotiator {
 void save_trace(const std::string& path, const std::vector<Flow>& flows);
 
 /// Reads a trace written by save_trace. Throws std::runtime_error on I/O or
-/// parse failure.
+/// parse failure, and on a flow no fabric accepts: negative or equal
+/// endpoints, size < 1 or a negative arrival. Endpoints are not checked
+/// against a ToR count; the trace does not know one.
 std::vector<Flow> load_trace(const std::string& path);
 
 }  // namespace negotiator

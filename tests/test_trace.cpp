@@ -47,15 +47,45 @@ TEST(Trace, MissingFileThrows) {
   EXPECT_THROW(load_trace("/nonexistent/dir/flows.csv"), std::runtime_error);
 }
 
-TEST(Trace, MalformedLineThrows) {
-  const std::string path = temp_path("neg_trace_bad.csv");
+/// Writes a trace holding the header plus `row` and expects load_trace to
+/// reject it with std::runtime_error.
+void expect_row_rejected(const char* file, const char* row) {
+  const std::string path = temp_path(file);
   {
     std::ofstream out(path);
     out << "id,src,dst,size,arrival_ns,group\n";
-    out << "1,2,three,4,5,6\n";
+    out << row << "\n";
   }
-  EXPECT_THROW(load_trace(path), std::runtime_error);
+  EXPECT_THROW(load_trace(path), std::runtime_error) << row;
   std::remove(path.c_str());
+}
+
+TEST(Trace, MalformedLineThrows) {
+  expect_row_rejected("neg_trace_bad.csv", "1,2,three,4,5,6");
+}
+
+TEST(Trace, NonCommaSeparatorThrows) {
+  expect_row_rejected("neg_trace_semicolon.csv", "1;2;3;4;5;6");
+}
+
+TEST(Trace, NegativeEndpointThrows) {
+  expect_row_rejected("neg_trace_negative_src.csv", "1,-2,3,4,5,0");
+}
+
+TEST(Trace, SelfFlowThrows) {
+  expect_row_rejected("neg_trace_self_flow.csv", "1,2,2,400,5,0");
+}
+
+TEST(Trace, NonPositiveSizeThrows) {
+  expect_row_rejected("neg_trace_negative_size.csv", "1,2,3,-400,5,0");
+}
+
+TEST(Trace, NegativeArrivalThrows) {
+  expect_row_rejected("neg_trace_negative_arrival.csv", "1,2,3,400,-5,0");
+}
+
+TEST(Trace, TrailingCharactersThrow) {
+  expect_row_rejected("neg_trace_trailing.csv", "1,2,3,400,5,0junk");
 }
 
 }  // namespace
