@@ -219,7 +219,7 @@ void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
   NEG_ASSERT(relay_enabled_, "relay train without selective relay");
   // The scheduled phase ships one train per (slot, intermediate), so a
   // span is normally a single run; the run loop keeps mixed spans correct
-  // anyway. Each run lands through the relay queue's bulk span ingest.
+  // anyway. Each run lands through RelayQueueSet::enqueue_span.
   std::uint32_t i = 0;
   while (i < e.count) {
     const TorId inter = chunks[i].intermediate;

@@ -143,7 +143,7 @@ void ObliviousFabric::schedule_link_event(Nanos when, TorId tor, PortId port,
                                      LinkToggleEvent{tor, port, dir, fail});
 }
 
-TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
+TorId ObliviousFabric::next_spread_dst(TorId src) {
   const auto& active =
       tors_[static_cast<std::size_t>(src)].active_destinations();
   if (active.empty()) return kInvalidTor;
@@ -151,15 +151,9 @@ TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
   // Bitmap successor scan instead of a binary search over the sorted
   // view: this runs once per potential spread, i.e. millions of times.
   TorId d = active.next_member_after(ptr);
-  for (std::size_t step = 0; step < active.size() + 1; ++step) {
-    if (d == kInvalidTor) d = active.first_member();  // wrap around
-    if (d != exclude) {
-      ptr = d;
-      return d;
-    }
-    d = active.next_member_after(d);
-  }
-  return kInvalidTor;
+  if (d == kInvalidTor) d = active.first_member();  // wrap around
+  ptr = d;
+  return d;
 }
 
 void ObliviousFabric::run_slot(std::int64_t global_slot) {
@@ -248,7 +242,7 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
       const bool room =
           advertised_congested_[static_cast<std::size_t>(s) * n + m] == 0;
       if (!room) continue;
-      const TorId d = next_spread_dst(s, kInvalidTor);
+      const TorId d = next_spread_dst(s);
       if (d == kInvalidTor) continue;
       if (d == m) {
         if (auto pkt = tor.dequeue_packet(m, payload)) {

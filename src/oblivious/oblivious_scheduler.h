@@ -81,9 +81,9 @@ class ObliviousFabric final : public FabricSim, private EventSink {
   /// a single FlowTable credit walk and one goodput span at the shared
   /// arrival time, in the dequeue order the inline calls used.
   void flush_deliveries(Nanos arrival);
-  /// Next backlogged destination after the spread pointer, skipping
-  /// `exclude`; kInvalidTor when none.
-  TorId next_spread_dst(TorId src, TorId exclude);
+  /// Next backlogged destination after the spread pointer (wrapping);
+  /// kInvalidTor when none.
+  TorId next_spread_dst(TorId src);
 
   // --- Sparse slot scan (the demand-driven pipeline, oblivious side) ---
   //

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -24,76 +25,15 @@ struct RelayChunk {
   std::uint32_t seq{0};
 };
 
-/// A flat ring-buffer FIFO of relay chunks. The oblivious fabric pushes and
-/// pops millions of chunks per run across N^2 queues; a std::deque pays a
-/// block allocation every few entries and scatters them across the heap,
-/// while this ring reuses one contiguous buffer (power-of-two capacity,
-/// grown on demand and kept).
-class ChunkFifo {
- public:
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  RelayChunk& front() { return buf_[head_]; }
-  const RelayChunk& front() const { return buf_[head_]; }
-  RelayChunk& back() { return buf_[wrap(head_ + size_ - 1)]; }
-
-  void push_back(const RelayChunk& c) {
-    if (size_ == buf_.size()) grow(size_ + 1);
-    buf_[wrap(head_ + size_)] = c;
-    ++size_;
-  }
-  void pop_front() {
-    head_ = wrap(head_ + 1);
-    --size_;
-  }
-
-  /// Appends `n` chunks in order with a single capacity check — the bulk
-  /// ingest path for chunk trains (one growth decision per span instead of
-  /// one per chunk).
-  void push_span(const RelayChunk* chunks, std::size_t n) {
-    if (n == 0) return;
-    if (size_ + n > buf_.size()) grow(size_ + n);
-    std::size_t w = wrap(head_ + size_);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf_[w] = chunks[i];
-      w = wrap(w + 1);
-    }
-    size_ += n;
-  }
-
-  /// Pops up to `max_n` chunks from the front into `out` (preserving FIFO
-  /// order); returns the number popped.
-  std::size_t pop_span(RelayChunk* out, std::size_t max_n) {
-    const std::size_t n = std::min(max_n, size_);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = buf_[head_];
-      head_ = wrap(head_ + 1);
-    }
-    size_ -= n;
-    return n;
-  }
-
- private:
-  std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
-  /// Doubles capacity (power of two) until it holds `min_capacity`,
-  /// un-wrapping live chunks into the new buffer.
-  void grow(std::size_t min_capacity) {
-    std::size_t cap = buf_.empty() ? 8 : buf_.size();
-    while (cap < min_capacity) cap *= 2;
-    std::vector<RelayChunk> bigger(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = buf_[wrap(head_ + i)];
-    }
-    buf_ = std::move(bigger);
-    head_ = 0;
-  }
-
-  std::vector<RelayChunk> buf_;
-  std::size_t head_{0};
-  std::size_t size_{0};
-};
-
 /// Relay queues for one ToR, indexed by final destination.
+///
+/// Storage is one chunk arena per ToR: a free-list-recycled flat vector of
+/// 32-byte nodes (grown on demand and kept), threaded into one singly
+/// linked FIFO per destination. Each destination's FIFO is a packed
+/// 16-byte header {head, tail, bytes}, so the byte count a fabric checks
+/// before a dequeue and the head index the dequeue follows share a cache
+/// line, and a new chunk for any destination reuses the most recently
+/// freed (cache-warm) node.
 class RelayQueueSet {
  public:
   explicit RelayQueueSet(int num_tors);
@@ -103,57 +43,31 @@ class RelayQueueSet {
   void enqueue(TorId final_dst, FlowId flow, Bytes bytes, Nanos now,
                std::uint32_t seq = 0) {
     NEG_ASSERT(bytes > 0, "cannot relay zero bytes");
-    auto& q = queues_[static_cast<std::size_t>(final_dst)];
-    if (q.empty()) active_.insert(final_dst);
-    if (!q.empty() && q.back().flow == flow && q.back().seq == seq) {
-      q.back().bytes += bytes;
+    Queue& q = queue(final_dst);
+    if (q.tail < 0) {
+      q.head = q.tail = alloc(flow, bytes, now, seq);
+      active_.insert(final_dst);
+    } else if (arena_[static_cast<std::size_t>(q.tail)].flow == flow &&
+               arena_[static_cast<std::size_t>(q.tail)].seq == seq) {
+      arena_[static_cast<std::size_t>(q.tail)].bytes += bytes;
     } else {
-      q.push_back(RelayChunk{flow, bytes, now, seq});
+      // alloc may grow the arena: link through the index, not a reference.
+      const std::int32_t node = alloc(flow, bytes, now, seq);
+      arena_[static_cast<std::size_t>(q.tail)].next = node;
+      q.tail = node;
     }
-    queue_bytes_[static_cast<std::size_t>(final_dst)] += bytes;
+    q.bytes += bytes;
     total_bytes_ += bytes;
   }
 
-  /// Bulk ingest of one chunk train: enqueues `n` chunks (each bound for
-  /// its own final destination) exactly as n sequential enqueue() calls
-  /// would — same FIFO contents, same-flow coalescing included — but with
-  /// one occupancy/byte-counter delta per destination run and one ChunkFifo
-  /// capacity check per run instead of per chunk. All chunks share the
-  /// train's arrival time `now`.
+  /// Ingests one chunk train (each chunk bound for its own final
+  /// destination) at the train's arrival time `now`: n sequential
+  /// enqueue() calls.
   void enqueue_span(const RelayTrainChunk* chunks, std::size_t n, Nanos now) {
-    Bytes train_total = 0;
-    std::size_t i = 0;
-    while (i < n) {
-      const TorId d = chunks[i].final_dst;
-      auto& q = queues_[static_cast<std::size_t>(d)];
-      if (q.empty()) active_.insert(d);
-      // Collapse the run's chunks the way per-chunk enqueue would:
-      // consecutive same-flow chunks merge, and the run's first chunk(s)
-      // may merge into the FIFO's current tail.
-      span_scratch_.clear();
-      Bytes run_bytes = 0;
-      for (; i < n && chunks[i].final_dst == d; ++i) {
-        NEG_ASSERT(chunks[i].bytes > 0, "cannot relay zero bytes");
-        run_bytes += chunks[i].bytes;
-        if (!span_scratch_.empty() &&
-            span_scratch_.back().flow == chunks[i].flow &&
-            span_scratch_.back().seq == chunks[i].seq) {
-          span_scratch_.back().bytes += chunks[i].bytes;
-        } else if (span_scratch_.empty() && !q.empty() &&
-                   q.back().flow == chunks[i].flow &&
-                   q.back().seq == chunks[i].seq) {
-          q.back().bytes += chunks[i].bytes;
-        } else {
-          span_scratch_.push_back(
-              RelayChunk{chunks[i].flow, chunks[i].bytes, now,
-                         chunks[i].seq});
-        }
-      }
-      q.push_span(span_scratch_.data(), span_scratch_.size());
-      queue_bytes_[static_cast<std::size_t>(d)] += run_bytes;
-      train_total += run_bytes;
+    for (std::size_t i = 0; i < n; ++i) {
+      enqueue(chunks[i].final_dst, chunks[i].flow, chunks[i].bytes, now,
+              chunks[i].seq);
     }
-    total_bytes_ += train_total;
   }
 
   /// At most `max_payload` bytes of one flow bound for `final_dst`.
@@ -171,16 +85,15 @@ class RelayQueueSet {
   /// one flow) bound for `final_dst`, exactly as that many sequential
   /// dequeue_packet calls would — same packets, same partial takes — with
   /// one per-destination byte delta, one total update and one active-set
-  /// check for the whole span. Returns the number drawn. The drain-side
-  /// mirror of enqueue_span.
+  /// check for the whole span. Returns the number drawn.
   std::size_t dequeue_span(TorId final_dst, Bytes max_payload,
                            std::size_t max_packets, RelayChunk* out) {
     NEG_ASSERT(max_payload > 0, "packet payload must be positive");
-    auto& q = queues_[static_cast<std::size_t>(final_dst)];
+    Queue& q = queue(final_dst);
     Bytes taken = 0;
     std::size_t n = 0;
-    while (n < max_packets && !q.empty()) {
-      RelayChunk& head = q.front();
+    while (n < max_packets && q.head >= 0) {
+      Node& head = arena_[static_cast<std::size_t>(q.head)];
       const Bytes take = std::min(head.bytes, max_payload);
       // A seq-carrying chunk is an indivisible ARQ unit: it was sized at
       // most one payload at transmit time and never coalesces across
@@ -190,32 +103,71 @@ class RelayQueueSet {
       out[n++] = RelayChunk{head.flow, take, head.received_at, head.seq};
       head.bytes -= take;
       taken += take;
-      if (head.bytes == 0) q.pop_front();
+      if (head.bytes == 0) {
+        // Drained node: unlink the head and recycle its arena slot.
+        const std::int32_t drained = q.head;
+        q.head = head.next;
+        head.next = free_head_;
+        free_head_ = drained;
+      }
     }
     if (n == 0) return 0;
-    queue_bytes_[static_cast<std::size_t>(final_dst)] -= taken;
+    q.bytes -= taken;
     total_bytes_ -= taken;
-    if (q.empty()) active_.erase(final_dst);
+    if (q.head < 0) {
+      q.tail = -1;
+      active_.erase(final_dst);
+    }
     return n;
   }
 
-  Bytes bytes_for(TorId final_dst) const {
-    return queue_bytes_[static_cast<std::size_t>(final_dst)];
-  }
+  Bytes bytes_for(TorId final_dst) const { return queue(final_dst).bytes; }
   Bytes total_bytes() const { return total_bytes_; }
   bool empty_for(TorId final_dst) const { return bytes_for(final_dst) == 0; }
 
   /// Final destinations with parked bytes, ascending. Dirty-set invariant:
-  /// enqueue() marks on the empty -> non-empty flip, dequeue_packet()
-  /// clears on drain; mutations are O(active) only on flips.
+  /// enqueue() marks on the empty -> non-empty flip, dequeue_span() clears
+  /// on drain; mutations are O(active) only on flips.
   const ActiveSet& active_destinations() const { return active_; }
 
  private:
-  std::vector<ChunkFifo> queues_;
-  std::vector<Bytes> queue_bytes_;
+  struct Node {
+    FlowId flow;
+    Bytes bytes;
+    Nanos received_at;
+    std::uint32_t seq;
+    std::int32_t next;  // arena index of the next node; -1 at the tail
+  };
+  struct Queue {
+    std::int32_t head{-1};  // arena index of the FIFO head; -1 when empty
+    std::int32_t tail{-1};
+    Bytes bytes{0};
+  };
+
+  Queue& queue(TorId final_dst) {
+    return queues_[static_cast<std::size_t>(final_dst)];
+  }
+  const Queue& queue(TorId final_dst) const {
+    return queues_[static_cast<std::size_t>(final_dst)];
+  }
+
+  std::int32_t alloc(FlowId flow, Bytes bytes, Nanos now, std::uint32_t seq) {
+    if (free_head_ >= 0) {
+      const std::int32_t node = free_head_;
+      Node& slot = arena_[static_cast<std::size_t>(node)];
+      free_head_ = slot.next;
+      slot = Node{flow, bytes, now, seq, -1};
+      return node;
+    }
+    arena_.push_back(Node{flow, bytes, now, seq, -1});
+    return static_cast<std::int32_t>(arena_.size()) - 1;
+  }
+
+  std::vector<Queue> queues_;  // per final destination
+  std::vector<Node> arena_;    // shared by all queues; free list recycles
+  std::int32_t free_head_{-1};
   ActiveSet active_;
   Bytes total_bytes_{0};
-  std::vector<RelayChunk> span_scratch_;  // per-run staging for enqueue_span
 };
 
 }  // namespace negotiator

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,89 +72,151 @@ TEST(RelayQueue, TotalsConserved) {
   EXPECT_EQ(r.total_bytes(), 0);
 }
 
-// --- ChunkFifo edge cases (the ring under the relay queues) ---
+// --- Arena store vs a deque-per-destination reference model ---
 
-TEST(ChunkFifo, WrapAroundAtCapacityPreservesFifoOrder) {
-  // Fill to the initial capacity (8), drain a prefix, refill past the
-  // physical end: the ring must wrap without growing or reordering.
-  ChunkFifo f;
-  for (FlowId i = 0; i < 8; ++i) f.push_back(RelayChunk{i, 10 + i, i});
-  for (int i = 0; i < 5; ++i) f.pop_front();
-  for (FlowId i = 8; i < 13; ++i) f.push_back(RelayChunk{i, 10 + i, i});
-  ASSERT_EQ(f.size(), 8u);
-  for (FlowId i = 5; i < 13; ++i) {
-    EXPECT_EQ(f.front().flow, i);
-    EXPECT_EQ(f.front().bytes, 10 + i);
-    f.pop_front();
+/// The relay-queue contract in its plainest form: one std::deque of chunks
+/// per final destination, a same-flow same-seq tail merge on enqueue and
+/// partial takes from the head on dequeue.
+class RelayModel {
+ public:
+  explicit RelayModel(int num_tors)
+      : queues_(static_cast<std::size_t>(num_tors)) {}
+
+  void enqueue(TorId dst, FlowId flow, Bytes bytes, Nanos now,
+               std::uint32_t seq) {
+    auto& q = queues_[static_cast<std::size_t>(dst)];
+    if (!q.empty() && q.back().flow == flow && q.back().seq == seq) {
+      q.back().bytes += bytes;
+    } else {
+      q.push_back(RelayChunk{flow, bytes, now, seq});
+    }
   }
-  EXPECT_TRUE(f.empty());
-}
 
-TEST(ChunkFifo, GrowthWhileNonEmptyAndWrappedUnwraps) {
-  // Grow while the live span wraps the physical end: the contents must
-  // come out in the same order after re-layout.
-  ChunkFifo f;
-  for (FlowId i = 0; i < 8; ++i) f.push_back(RelayChunk{i, 1, 0});
-  for (int i = 0; i < 6; ++i) f.pop_front();   // head now at index 6
-  for (FlowId i = 8; i < 14; ++i) f.push_back(RelayChunk{i, 1, 0});  // wraps
-  for (FlowId i = 14; i < 30; ++i) f.push_back(RelayChunk{i, 1, 0});  // grows
-  ASSERT_EQ(f.size(), 24u);
-  for (FlowId i = 6; i < 30; ++i) {
-    EXPECT_EQ(f.front().flow, i);
-    f.pop_front();
+  std::vector<RelayChunk> dequeue(TorId dst, Bytes max_payload,
+                                  std::size_t max_packets) {
+    auto& q = queues_[static_cast<std::size_t>(dst)];
+    std::vector<RelayChunk> out;
+    while (out.size() < max_packets && !q.empty()) {
+      RelayChunk& head = q.front();
+      const Bytes take = std::min(head.bytes, max_payload);
+      out.push_back(RelayChunk{head.flow, take, head.received_at, head.seq});
+      head.bytes -= take;
+      if (head.bytes == 0) q.pop_front();
+    }
+    return out;
   }
-}
 
-TEST(ChunkFifo, PushSpanCrossesTheWrapBoundary) {
-  ChunkFifo f;
-  for (FlowId i = 0; i < 6; ++i) f.push_back(RelayChunk{i, 1, 0});
-  for (int i = 0; i < 4; ++i) f.pop_front();
-  // 2 live at positions 4-5; a span of 5 lands across the physical end.
-  std::vector<RelayChunk> span;
-  for (FlowId i = 6; i < 11; ++i) span.push_back(RelayChunk{i, 2, 1});
-  f.push_span(span.data(), span.size());
-  ASSERT_EQ(f.size(), 7u);
-  for (FlowId i = 4; i < 11; ++i) {
-    EXPECT_EQ(f.front().flow, i);
-    f.pop_front();
+  Bytes bytes_for(TorId dst) const {
+    Bytes sum = 0;
+    for (const RelayChunk& c : queues_[static_cast<std::size_t>(dst)]) {
+      sum += c.bytes;
+    }
+    return sum;
   }
-}
-
-TEST(ChunkFifo, PushSpanGrowsOnceForTheWholeSpan) {
-  ChunkFifo f;
-  std::vector<RelayChunk> span;
-  for (FlowId i = 0; i < 1'000; ++i) span.push_back(RelayChunk{i, i + 1, i});
-  f.push_span(span.data(), span.size());
-  ASSERT_EQ(f.size(), 1'000u);
-  RelayChunk out[1'000];
-  EXPECT_EQ(f.pop_span(out, 1'000), 1'000u);
-  for (FlowId i = 0; i < 1'000; ++i) {
-    EXPECT_EQ(out[i].flow, i);
-    EXPECT_EQ(out[i].bytes, i + 1);
+  std::size_t chunks_for(TorId dst) const {
+    return queues_[static_cast<std::size_t>(dst)].size();
   }
-  EXPECT_TRUE(f.empty());
-}
 
-TEST(ChunkFifo, PopSpanIsBoundedBySizeAndKeepsTheRest) {
-  ChunkFifo f;
-  for (FlowId i = 0; i < 5; ++i) f.push_back(RelayChunk{i, 1, 0});
-  RelayChunk out[8];
-  EXPECT_EQ(f.pop_span(out, 3), 3u);
-  EXPECT_EQ(out[0].flow, 0);
-  EXPECT_EQ(out[2].flow, 2);
-  EXPECT_EQ(f.size(), 2u);
-  EXPECT_EQ(f.front().flow, 3);
-  EXPECT_EQ(f.pop_span(out, 8), 2u) << "pop_span caps at the live count";
-  EXPECT_EQ(out[1].flow, 4);
-  EXPECT_EQ(f.pop_span(out, 8), 0u);
-}
+ private:
+  std::vector<std::deque<RelayChunk>> queues_;
+};
 
-TEST(ChunkFifo, EmptySpanOpsAreNoOps) {
-  ChunkFifo f;
-  f.push_span(nullptr, 0);
-  EXPECT_TRUE(f.empty());
-  RelayChunk c{1, 2, 3};
-  EXPECT_EQ(f.pop_span(&c, 0), 0u);
+TEST(RelayQueue, ArenaMatchesDequeReferenceModel) {
+  // Random interleaved enqueue / enqueue_span / dequeue_span traffic across
+  // many destinations. Few flows make same-flow tails common (coalescing);
+  // drains of one destination free nodes the next enqueue elsewhere reuses
+  // (free list shared across destinations); seq-0 chunks larger than the
+  // payload force partial takes, while seq-carrying units stay at most one
+  // payload so they never split — as the ARQ transport sizes them.
+  const int kTors = 16;
+  const Bytes kPayload = 1'000;
+  RelayQueueSet arena(kTors);
+  RelayModel model(kTors);
+  Rng rng(20'240'613);
+  std::uint32_t next_seq = 1;
+  std::size_t drained_nodes = 0;
+  std::size_t partial_takes = 0;
+  std::size_t coalesced = 0;
+  auto draw_chunk = [&](TorId& dst, FlowId& flow, Bytes& bytes,
+                        std::uint32_t& seq) {
+    dst = static_cast<TorId>(rng.next_below(kTors));
+    flow = static_cast<FlowId>(rng.next_below(4));
+    if (rng.next_below(3) == 0) {
+      // A seq-carrying unit: a fresh seq, or a repeat of the last one so
+      // the same-seq tail merge is exercised too.
+      seq = rng.next_below(2) == 0 ? next_seq++ : next_seq - 1;
+      bytes = 1 + static_cast<Bytes>(rng.next_below(kPayload / 2));
+    } else {
+      seq = 0;
+      bytes = 1 + static_cast<Bytes>(rng.next_below(3 * kPayload));
+    }
+  };
+  for (int step = 0; step < 20'000; ++step) {
+    const std::int64_t op = rng.next_below(10);
+    const Nanos now = step;
+    if (op < 4) {
+      TorId dst;
+      FlowId flow;
+      Bytes bytes;
+      std::uint32_t seq;
+      draw_chunk(dst, flow, bytes, seq);
+      const std::size_t before = model.chunks_for(dst);
+      // A seq-carrying unit merged past one payload would become
+      // splittable; the transport never produces that, so neither do we.
+      if (seq != 0 && before > 0 && model.bytes_for(dst) + bytes > kPayload) {
+        seq = next_seq++;
+      }
+      arena.enqueue(dst, flow, bytes, now, seq);
+      model.enqueue(dst, flow, bytes, now, seq);
+      if (before > 0 && model.chunks_for(dst) == before) ++coalesced;
+    } else if (op < 6) {
+      std::vector<RelayTrainChunk> train;
+      const int n = 1 + static_cast<int>(rng.next_below(10));
+      for (int i = 0; i < n; ++i) {
+        RelayTrainChunk c{/*intermediate=*/0, 0, 0, 0, 0};
+        draw_chunk(c.final_dst, c.flow, c.bytes, c.seq);
+        if (c.seq != 0) c.seq = next_seq++;
+        train.push_back(c);
+      }
+      arena.enqueue_span(train.data(), train.size(), now);
+      for (const RelayTrainChunk& c : train) {
+        model.enqueue(c.final_dst, c.flow, c.bytes, now, c.seq);
+      }
+    } else {
+      const TorId dst = static_cast<TorId>(rng.next_below(kTors));
+      const std::size_t max_packets =
+          1 + static_cast<std::size_t>(rng.next_below(6));
+      const std::size_t chunks_before = model.chunks_for(dst);
+      RelayChunk got[6];
+      const std::size_t n = arena.dequeue_span(dst, kPayload, max_packets, got);
+      const std::vector<RelayChunk> want =
+          model.dequeue(dst, kPayload, max_packets);
+      ASSERT_EQ(n, want.size()) << "step " << step;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i].flow, want[i].flow) << "step " << step;
+        ASSERT_EQ(got[i].bytes, want[i].bytes) << "step " << step;
+        ASSERT_EQ(got[i].received_at, want[i].received_at) << "step " << step;
+        ASSERT_EQ(got[i].seq, want[i].seq) << "step " << step;
+      }
+      drained_nodes += chunks_before - model.chunks_for(dst);
+      partial_takes += n - (chunks_before - model.chunks_for(dst));
+    }
+    Bytes total = 0;
+    for (TorId d = 0; d < kTors; ++d) {
+      ASSERT_EQ(arena.bytes_for(d), model.bytes_for(d))
+          << "step " << step << " dst " << d;
+      ASSERT_EQ(arena.active_destinations().contains(d),
+                model.chunks_for(d) > 0)
+          << "step " << step << " dst " << d;
+      total += model.bytes_for(d);
+    }
+    ASSERT_EQ(arena.total_bytes(), total) << "step " << step;
+  }
+  // The run must actually have covered the cases it claims to.
+  EXPECT_GT(drained_nodes, 1'000u) << "free-list reuse";
+  EXPECT_GT(partial_takes, 1'000u);
+  EXPECT_GT(coalesced, 100u);
+  EXPECT_GT(next_seq, 1'000u) << "seq-carrying units";
 }
 
 // --- Bulk train ingest (enqueue_span) ---
