@@ -8,12 +8,17 @@
 //          [--load 0.5] [--duration-ms 4] [--seed 1]
 //          [--tors 128] [--ports 8] [--speedup 2]
 //          [--no-piggyback] [--no-pq] [--iterations 3]
+//          [--data-drop 0.01] [--arq]
 //          [--csv out.csv]
 //
 // Prints a one-line result; with --csv, appends a machine-readable row.
 // Malformed numbers and invalid configurations exit 2 with a message.
 // --load is a fraction of host bandwidth (§4.1) and must lie in (0, 1];
 // --duration-ms must give a horizon of at least 1 ns.
+// --data-drop turns on the lossy data plane (core/data_channel.h) with
+// that drop probability on every hop; --arq adds end-host
+// selective-repeat retransmission (tor/host_transport.h), without which
+// dropped bytes are lost for good.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -140,6 +145,15 @@ int main(int argc, char** argv) {
       cfg.piggyback = false;
     } else if (arg == "--no-pq") {
       cfg.pias.enabled = false;
+    } else if (arg == "--data-drop") {
+      const double p = parse_double(value());
+      cfg.data_fault.enabled = true;
+      cfg.data_fault.first_hop_drop = p;
+      cfg.data_fault.relay_drop = p;
+      cfg.data_fault.second_hop_drop = p;
+    } else if (arg == "--arq") {
+      cfg.data_fault.enabled = true;
+      cfg.data_fault.arq = true;
     } else if (arg == "--csv") {
       csv_path = value();
     } else {

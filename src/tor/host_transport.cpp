@@ -48,13 +48,9 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
     f.rto = base_rto_ns_;
   }
   NEG_ASSERT(f.src == src && f.dst == dst, "flow endpoints changed");
-  const auto idx = static_cast<std::uint32_t>(f.units.size());
+  const std::uint32_t idx = end_idx(f);
   f.units.push_back(Unit{bytes, now, 1, kInFlight, false});
   unresolved_bytes_ += bytes;
-  if (f.inflight_head == f.inflight.size()) {  // drained: recycle storage
-    f.inflight.clear();
-    f.inflight_head = 0;
-  }
   f.inflight.push_back(InflightEntry{idx, now});
   if (!f.timer_armed) arm_timer(f, flow, now + f.rto);
   return idx + 1;
@@ -65,8 +61,21 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
   NEG_ASSERT(seq > 0, "delivery without a sequence number");
   FlowState& f = flow_state(flow);
   const std::uint32_t idx = seq - 1;
-  NEG_ASSERT(idx < f.units.size(), "delivery for an unknown unit");
-  Unit& u = f.units[idx];
+  if (idx < f.base) {
+    // Retired: delivered and acked long ago. Only a unit sent more than
+    // once can still have a copy in the network, and it left a record.
+    const auto it = std::lower_bound(
+        f.retired.begin(), f.retired.end(), idx,
+        [](const RetiredUnit& r, std::uint32_t i) { return r.idx < i; });
+    NEG_ASSERT(it != f.retired.end() && it->idx == idx,
+               "second arrival of a retired single-copy unit");
+    NEG_ASSERT(bytes == it->bytes, "partial delivery of an ARQ unit");
+    ++spurious_retx_;
+    if (recorder_) recorder_->on_spurious_retx();
+    return false;
+  }
+  NEG_ASSERT(idx < end_idx(f), "delivery for an unknown unit");
+  Unit& u = unit(f, idx);
   // An ARQ unit is indivisible: a partial arrival means something split
   // a seq-carrying chunk in transit, which the conservation ledger
   // cannot represent.
@@ -81,22 +90,19 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
   u.delivered_rx = true;
   unresolved_bytes_ -= bytes;
   delivered_bytes_ += bytes;
-  while (f.cum_rx < f.units.size() && f.units[f.cum_rx].delivered_rx) {
+  while (f.cum_rx < end_idx(f) && unit(f, f.cum_rx).delivered_rx) {
     ++f.cum_rx;
   }
   const Nanos effective = now + prop_delay_ns_;
-  NEG_ASSERT(acks_head_ == acks_.size() || acks_.back().effective <= effective,
+  NEG_ASSERT(acks_.empty() || acks_.back().effective <= effective,
              "ack effective times must be non-decreasing");
-  if (acks_head_ == acks_.size()) {  // drained: recycle storage
-    acks_.clear();
-    acks_head_ = 0;
-  }
   acks_.push_back(Ack{effective, flow, seq, f.cum_rx});
   return true;
 }
 
 bool HostTransport::resolve_ack(FlowState& f, std::uint32_t idx) {
-  Unit& u = f.units[idx];
+  if (idx < f.base) return false;  // retired: acked before
+  Unit& u = unit(f, idx);
   switch (u.state) {
     case kInFlight:
       u.state = kAcked;
@@ -119,9 +125,31 @@ bool HostTransport::resolve_ack(FlowState& f, std::uint32_t idx) {
   return false;
 }
 
+void HostTransport::retire_acked(FlowState& f) {
+  const std::size_t acked = f.cum_tx - f.base;
+  if (acked == 0 || 2 * acked < f.units.size()) return;
+  for (std::size_t i = 0; i < acked; ++i) {
+    const Unit& u = f.units[i];
+    if (u.attempts > 1) {
+      f.retired.push_back(
+          RetiredUnit{f.base + static_cast<std::uint32_t>(i), u.bytes});
+    }
+  }
+  if (acked == f.units.size()) {
+    // Everything sent is acked: every in-flight entry is stale too.
+    std::vector<Unit>().swap(f.units);
+    f.inflight.release();
+  } else {
+    f.units.erase(f.units.begin(),
+                  f.units.begin() + static_cast<std::ptrdiff_t>(acked));
+  }
+  f.base = f.cum_tx;
+}
+
 void HostTransport::flush_acks(Nanos now) {
-  while (acks_head_ < acks_.size() && acks_[acks_head_].effective <= now) {
-    const Ack a = acks_[acks_head_++];
+  while (!acks_.empty() && acks_.front().effective <= now) {
+    const Ack a = acks_.front();
+    acks_.pop_front();
     FlowState& f = flows_[static_cast<std::size_t>(a.flow)];
     bool progress = resolve_ack(f, a.seq - 1);
     // Cumulative part: everything below the receiver's contiguous
@@ -134,30 +162,28 @@ void HostTransport::flush_acks(Nanos now) {
       f.rto = base_rto_ns_;
       f.retries = 0;
     }
+    retire_acked(f);
   }
 }
 
 bool HostTransport::prune_inflight(FlowState& f) {
-  while (f.inflight_head < f.inflight.size()) {
-    const InflightEntry& e = f.inflight[f.inflight_head];
-    const Unit& u = f.units[e.idx];
-    if (u.state == kInFlight && u.sent_at == e.sent_at) return true;
-    ++f.inflight_head;  // stale: acked, abandoned, or re-sent since
+  while (!f.inflight.empty()) {
+    const InflightEntry& e = f.inflight.front();
+    if (e.idx >= f.base) {
+      const Unit& u = unit(f, e.idx);
+      if (u.state == kInFlight && u.sent_at == e.sent_at) return true;
+    }
+    f.inflight.pop_front();  // stale: acked, abandoned, or re-sent since
   }
   return false;
 }
 
 void HostTransport::queue_retx(FlowState& f, std::int32_t flow,
                                std::uint32_t idx) {
-  Unit& u = f.units[idx];
+  Unit& u = unit(f, idx);
   u.state = kRetxPending;
   const std::size_t pair = pair_index(f.src, f.dst);
-  RetxFifo& fifo = retx_[pair];
-  if (fifo.head == fifo.items.size()) {  // drained: recycle storage
-    fifo.items.clear();
-    fifo.head = 0;
-  }
-  fifo.items.push_back(RetxEntry{flow, idx});
+  retx_[pair].push_back(RetxEntry{flow, idx});
   if (retx_count_[pair]++ == 0 && !pair_listed_[pair]) {
     pair_listed_[pair] = 1;
     retx_pairs_.push_back(static_cast<std::int32_t>(pair));
@@ -195,7 +221,7 @@ bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
   f.timer_armed = false;
   flush_acks(now);
   if (!prune_inflight(f)) return false;  // everything resolved meanwhile
-  const Nanos earliest = f.inflight[f.inflight_head].sent_at + f.rto;
+  const Nanos earliest = f.inflight.front().sent_at + f.rto;
   if (earliest > now) {
     // Stale wakeup: the deadline moved (ack progress or retransmission
     // since this timer was armed). Re-arm at the real deadline.
@@ -219,17 +245,17 @@ bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
   }
   bool moved = false;
   while (prune_inflight(f)) {
-    const InflightEntry& e = f.inflight[f.inflight_head];
+    const InflightEntry e = f.inflight.front();
     if (e.sent_at + f.rto > now) break;  // later units have not expired
     queue_retx(f, flow, e.idx);
-    ++f.inflight_head;
+    f.inflight.pop_front();
     moved = true;
   }
   f.rto = std::min(
       rto_cap_ns_,
       static_cast<Nanos>(static_cast<double>(f.rto) * backoff_));
   if (prune_inflight(f)) {
-    arm_timer(f, flow, f.inflight[f.inflight_head].sent_at + f.rto);
+    arm_timer(f, flow, f.inflight.front().sent_at + f.rto);
   }
   return moved;
 }
@@ -238,14 +264,17 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
                                                   Nanos now) {
   const std::size_t pair = pair_index(src, dst);
   NEG_ASSERT(retx_count_[pair] > 0, "take_retx on a pair with no work");
-  RetxFifo& fifo = retx_[pair];
+  Fifo<RetxEntry>& fifo = retx_[pair];
   for (;;) {
-    NEG_ASSERT(fifo.head < fifo.items.size(),
+    NEG_ASSERT(!fifo.empty(),
                "retx count says live entries but the FIFO is drained");
-    const RetxEntry e = fifo.items[fifo.head++];
+    const RetxEntry e = fifo.front();
+    fifo.pop_front();
     FlowState& f = flows_[static_cast<std::size_t>(e.flow)];
-    Unit& u = f.units[e.idx];
-    if (u.state != kRetxPending) continue;  // stale: resolved while queued
+    // Stale: retired, or otherwise resolved while queued.
+    if (e.idx < f.base) continue;
+    Unit& u = unit(f, e.idx);
+    if (u.state != kRetxPending) continue;
     --retx_count_[pair];
     --retx_from_[static_cast<std::size_t>(src)];
     --f.pending;
@@ -253,16 +282,20 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
     u.state = kInFlight;
     u.sent_at = now;
     ++u.attempts;
-    if (f.inflight_head == f.inflight.size()) {
-      f.inflight.clear();
-      f.inflight_head = 0;
-    }
     f.inflight.push_back(InflightEntry{e.idx, now});
     retransmitted_bytes_ += u.bytes;
     if (recorder_) recorder_->on_retransmit(u.bytes);
     if (!f.timer_armed) arm_timer(f, e.flow, now + f.rto);
     return RetxChunk{e.flow, f.dst, u.bytes, e.idx + 1};
   }
+}
+
+std::size_t HostTransport::retained_units() const {
+  std::size_t n = acks_.stored();
+  for (const FlowState& f : flows_) {
+    n += f.units.size() + f.retired.size() + f.inflight.stored();
+  }
+  return n;
 }
 
 }  // namespace negotiator

@@ -38,8 +38,25 @@
 // Determinism: the transport draws no randomness at all — its state is a
 // pure function of the transmission/delivery/timer sequence the fabric
 // feeds it, so fixed-seed runs are bit-identical.
+//
+// Memory: O(unresolved window + multi-copy retired units) per flow, not
+// O(units ever sent). A flow stores its units as a window [base, end)
+// with base <= cum_tx, the sender's cumulative ack. Every unit below
+// cum_tx is settled for good: the receiver's contiguous watermark only
+// passes units it delivered (an abandoned unit is never delivered, so it
+// stops the watermark), and the ack carrying that watermark has resolved
+// them all to acked. Nothing but a late duplicate copy can refer to such
+// a unit again, so the acked prefix is retired once it is at least half
+// the window, and the flow's vectors are freed outright when everything
+// it sent is acked. A retired unit that was sent once has no copy left
+// in the network; one sent more than once keeps a {idx, bytes} record,
+// so a late duplicate still passes the unit-size check and is counted
+// spurious. The ack queue, per-flow in-flight lists and retransmit FIFOs
+// drop their consumed prefix once it is half their storage. A flow with
+// an abandoned unit keeps its window from that unit on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -152,7 +169,43 @@ class HostTransport {
   std::int64_t max_backoff_reached() const { return max_backoff_reached_; }
   std::int64_t abandoned_units() const { return abandoned_units_; }
 
+  /// Entries the transport stores, summed over every flow: window units,
+  /// retired multi-copy records and in-flight entries, plus the ack queue
+  /// (consumed FIFO prefixes not yet dropped included). A walk over all
+  /// flows; tests use it to check the memory contract.
+  std::size_t retained_units() const;
+
  private:
+  /// Head-consumed FIFO: pops advance a head index, and the consumed
+  /// prefix is dropped once it is at least half the storage, so storage
+  /// stays within twice the live entries (amortised O(1) per pop).
+  template <typename T>
+  class Fifo {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    /// Entries held: the live ones plus a not yet dropped consumed prefix.
+    std::size_t stored() const { return items_.size(); }
+    const T& front() const { return items_[head_]; }
+    const T& back() const { return items_.back(); }
+    void push_back(const T& item) { items_.push_back(item); }
+    void pop_front() {
+      if (++head_ * 2 >= items_.size()) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    /// Drops every entry and frees the storage.
+    void release() {
+      std::vector<T>().swap(items_);
+      head_ = 0;
+    }
+
+   private:
+    std::vector<T> items_;
+    std::size_t head_{0};
+  };
+
   enum UnitState : std::uint8_t {
     kInFlight,     // transmitted, awaiting ack
     kRetxPending,  // RTO expired, queued for a retransmit slot
@@ -169,18 +222,27 @@ class HostTransport {
   };
 
   /// In-flight bookkeeping entry; stale once the unit left kInFlight or
-  /// was retransmitted (sent_at moved) — validity is re-checked lazily.
+  /// was retransmitted (sent_at moved) or retired — validity is
+  /// re-checked lazily.
   struct InflightEntry {
     std::uint32_t idx;
     Nanos sent_at;
   };
 
+  /// A retired unit that was sent more than once: a late copy may still
+  /// arrive and must match the unit's size.
+  struct RetiredUnit {
+    std::uint32_t idx;
+    Bytes bytes;
+  };
+
   struct FlowState {
     TorId src{kInvalidTor};
     TorId dst{kInvalidTor};
-    std::vector<Unit> units;  // indexed by seq - 1
-    std::vector<InflightEntry> inflight;  // sent_at non-decreasing
-    std::size_t inflight_head{0};
+    std::uint32_t base{0};    // units[i] is unit base + i (seq base + i + 1)
+    std::vector<Unit> units;  // window [base, end); below base: retired
+    std::vector<RetiredUnit> retired;  // multi-copy retired units, idx-sorted
+    Fifo<InflightEntry> inflight;      // sent_at non-decreasing
     std::uint32_t cum_rx{0};  // receiver: units [0, cum_rx) delivered
     std::uint32_t cum_tx{0};  // sender: units [0, cum_tx) acked
     std::int32_t pending{0};  // units currently kRetxPending (FIFO-queued)
@@ -201,19 +263,18 @@ class HostTransport {
     std::uint32_t idx;
   };
 
-  /// One retransmit FIFO per (src, dst); entries may be stale (acked or
-  /// abandoned while queued) and are skipped at pop — retx_count_ holds
-  /// the live-entry truth.
-  struct RetxFifo {
-    std::vector<RetxEntry> items;
-    std::size_t head{0};
-  };
-
   std::size_t pair_index(TorId src, TorId dst) const {
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(num_tors_) +
            static_cast<std::size_t>(dst);
   }
   FlowState& flow_state(std::int32_t flow);
+  static std::uint32_t end_idx(const FlowState& f) {
+    return f.base + static_cast<std::uint32_t>(f.units.size());
+  }
+  /// Requires base <= idx < end_idx(f).
+  static Unit& unit(FlowState& f, std::uint32_t idx) {
+    return f.units[idx - f.base];
+  }
   void arm_timer(FlowState& f, std::int32_t flow, Nanos when);
   /// Drops stale head entries; true when a valid head remains.
   bool prune_inflight(FlowState& f);
@@ -221,6 +282,9 @@ class HostTransport {
   bool resolve_ack(FlowState& f, std::uint32_t idx);
   void queue_retx(FlowState& f, std::int32_t flow, std::uint32_t idx);
   void abandon_flow(FlowState& f);
+  /// Drops the acked prefix [base, cum_tx) once it is at least half the
+  /// window, keeping a record of each multi-copy unit in it.
+  void retire_acked(FlowState& f);
 
   int num_tors_;
   Nanos prop_delay_ns_;
@@ -232,9 +296,11 @@ class HostTransport {
   ResilienceRecorder* recorder_{nullptr};
 
   std::vector<FlowState> flows_;
-  std::vector<Ack> acks_;  // effective-time ordered; head-consumed
-  std::size_t acks_head_{0};
-  std::vector<RetxFifo> retx_;           // [src * N + dst]
+  Fifo<Ack> acks_;  // effective-time ordered
+  /// One retransmit FIFO per (src, dst), [src * N + dst]; entries may be
+  /// stale (acked or abandoned while queued) and are skipped at pop —
+  /// retx_count_ holds the live-entry truth.
+  std::vector<Fifo<RetxEntry>> retx_;
   std::vector<std::int64_t> retx_count_;  // live entries per pair
   std::vector<std::int64_t> retx_from_;   // live entries per source ToR
   std::vector<std::int32_t> retx_pairs_;  // pairs possibly live (compacted)

@@ -2,9 +2,14 @@
 // (tor/host_transport.h): sequence numbering, duplicate suppression,
 // cumulative+selective ack resolution, lazy RTO timers with exponential
 // backoff, retransmit FIFO round-trips, abandonment, and the
-// conservation-ledger bucket moves — plus full-fabric integration runs
+// conservation-ledger bucket moves, the bounded-state contract (only the
+// unacknowledged window is kept) — plus full-fabric integration runs
 // proving ARQ delivers everything under moderate loss on both fabrics.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -286,6 +291,117 @@ TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
   EXPECT_EQ(t.take_retx(1, 2, rto).flow, 0);
   EXPECT_EQ(t.take_retx(1, 2, rto).flow, 3);
   EXPECT_FALSE(t.has_retx(1, 2));
+}
+
+TEST(HostTransport, LongFlowRetainsOnlyItsUnackedWindow) {
+  // One 10,000-unit flow, one unit sent per tick, each copy arriving
+  // kDelay ticks later. Every 101st unit's first copy is lost, and every
+  // 1010th unit's retransmission is lost too, so the flow goes through
+  // genuine RTO fires, backoff and repeated retransmission. The state the
+  // transport holds must stay bounded by the unacknowledged window (plus
+  // one record per retransmitted unit), not grow with the flow's length.
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  constexpr Nanos kTicksPerRto = 32;
+  constexpr Nanos kDelay = 4;  // ticks from transmission to arrival
+  constexpr std::uint32_t kUnits = 10'000;
+  constexpr Bytes kBytes = 1'115;
+  const Nanos dt = rto / kTicksPerRto;
+  ASSERT_LT((kDelay + 1) * dt + prop, rto)
+      << "test premise: an undropped unit is acked before its RTO";
+  EventQueue q;
+  HostTransport t(cfg, &q);
+
+  std::uint32_t dropped_units = 0;
+  for (std::uint32_t seq = 1; seq <= kUnits; ++seq) {
+    if (seq % 101 == 0) ++dropped_units;
+  }
+  // A lost unit stalls the cumulative ack for at most one RTO, one
+  // backed-off RTO, the delivery delay and the ack's propagation (less
+  // than an RTO by the premise above); one fresh unit goes out per tick
+  // meanwhile, and the acked prefix is retired lazily (at half the
+  // window), which at most doubles what is stored.
+  constexpr std::size_t kWindow = 2 * (4 * kTicksPerRto + kDelay + 2);
+
+  std::vector<std::pair<Nanos, std::uint32_t>> arrivals;  // (tick, seq)
+  std::vector<std::uint32_t> attempts(kUnits + 1, 0);
+  std::size_t max_retained = 0;
+  for (Nanos tick = 0; tick < kUnits + 8 * kTicksPerRto; ++tick) {
+    const Nanos now = tick * dt;
+    t.flush_acks(now);
+    if (tick > 0) t.on_timer(0, now);  // stale wakeups are not counted
+    auto send = [&](std::uint32_t seq) {
+      const bool lost = (attempts[seq] == 0 && seq % 101 == 0) ||
+                        (attempts[seq] == 1 && seq % 1010 == 0);
+      ++attempts[seq];
+      if (!lost) arrivals.emplace_back(tick + kDelay, seq);
+    };
+    while (t.has_retx(1, 2)) send(t.take_retx(1, 2, now).seq);
+    if (tick < kUnits) send(t.on_transmit(0, 1, 2, kBytes, now));
+    std::size_t keep = 0;
+    for (const auto& a : arrivals) {
+      if (a.first == tick) {
+        EXPECT_TRUE(t.on_deliver(0, a.second, kBytes, now));
+      } else {
+        arrivals[keep++] = a;
+      }
+    }
+    arrivals.resize(keep);
+    max_retained = std::max(max_retained, t.retained_units());
+  }
+
+  EXPECT_TRUE(arrivals.empty());
+  EXPECT_EQ(t.unresolved_bytes(), 0);
+  EXPECT_EQ(t.delivered_bytes(), kUnits * kBytes);
+  EXPECT_EQ(t.abandoned_bytes(), 0);
+  EXPECT_EQ(t.spurious_retx(), 0);
+  EXPECT_GE(t.rto_fires(), dropped_units);
+  EXPECT_EQ(t.retransmitted_bytes(),
+            (dropped_units + kUnits / 1010) * kBytes);
+  EXPECT_LE(max_retained, 3 * kWindow + dropped_units)
+      << "units, in-flight entries and acks are each bounded by the "
+         "window; retired records by the retransmitted units";
+  EXPECT_LT(max_retained, kUnits / 10) << "state must not track flow length";
+  // Fully acked: only the records of retransmitted units remain.
+  EXPECT_EQ(t.retained_units(), dropped_units);
+}
+
+TEST(HostTransport, LateCopyOfARetiredRetransmittedUnitIsSpurious) {
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 500, 0);
+  EXPECT_TRUE(t.on_timer(0, rto));  // the original copy is only delayed
+  const HostTransport::RetxChunk r = t.take_retx(1, 2, rto);
+  EXPECT_TRUE(t.on_deliver(0, r.seq, r.bytes, rto + 10));
+  t.flush_acks(rto + 10 + prop);
+  EXPECT_EQ(t.retained_units(), 1u) << "only the multi-copy record is left";
+  // The delayed original lands after its unit was retired.
+  EXPECT_FALSE(t.on_deliver(0, 1, 500, 2 * rto));
+  EXPECT_EQ(t.spurious_retx(), 1);
+  EXPECT_EQ(t.unresolved_bytes(), 0);
+  EXPECT_EQ(t.delivered_bytes(), 500);
+  // The flow keeps numbering past its retired prefix.
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 100, 3 * rto), 2u);
+  EXPECT_TRUE(t.on_deliver(0, 2, 100, 3 * rto + 10));
+  EXPECT_EQ(t.delivered_bytes(), 600);
+}
+
+TEST(HostTransportDeathTest, SecondArrivalOfARetiredSingleCopyUnitAborts) {
+  NetworkConfig cfg = arq_config();
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  t.on_transmit(0, 1, 2, 500, 0);
+  EXPECT_TRUE(t.on_deliver(0, 1, 500, 10));
+  t.flush_acks(10 + prop);
+  EXPECT_EQ(t.retained_units(), 0u) << "a sent-once unit leaves no record";
+  // The unit was sent once and has arrived: no copy can be left.
+  EXPECT_DEATH(t.on_deliver(0, 1, 500, 20),
+               "second arrival of a retired single-copy unit");
 }
 
 /// Integration bar (both fabrics): at moderate loss, ARQ re-delivers every
