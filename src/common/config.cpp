@@ -65,6 +65,12 @@ void NetworkConfig::validate() const {
   if (topology == TopologyKind::kThinClos && num_tors % ports_per_tor != 0) {
     fail("thin-clos requires num_tors divisible by ports_per_tor");
   }
+  // A block of one ToR leaves each ToR a port that reaches no peer, so
+  // its own block contributes an empty grant/accept ring.
+  if (topology == TopologyKind::kThinClos && num_tors < 2 * ports_per_tor) {
+    fail("thin-clos needs at least 2 ToRs per block (num_tors >= 2 * "
+         "ports_per_tor)");
+  }
   if (host_aggregate_gbps <= 0) fail("host_aggregate_gbps must be positive");
   if (speedup <= 0) fail("speedup must be positive");
   if (propagation_delay_ns < 0) fail("propagation delay must be >= 0");

@@ -59,18 +59,158 @@ void FlowTable::credit_span(const DeliveryRecord* records, std::size_t n,
   fct.record_span(completed_scratch_.data(), completed_scratch_.size());
 }
 
+// ---------------------------------------------------------------- FabricSim
+
+namespace {
+
+const NetworkConfig& validated(const NetworkConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
+FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns)
+    : config_(validated(config)),
+      topo_(make_topology(config_)),
+      goodput_(config_.num_tors, stats_window_ns),
+      links_(config_.num_tors, config_.ports_per_tor) {
+  tors_.reserve(static_cast<std::size_t>(config_.num_tors));
+  for (TorId t = 0; t < config_.num_tors; ++t) {
+    tors_.emplace_back(t, config_.num_tors, config_.pias);
+  }
+  sim_.set_sink(this);
+  if (config_.data_fault.enabled) {
+    data_ = std::make_unique<DataChannel>(
+        config_.data_fault,
+        make_salted_stream(config_.seed, kDataChannelSeedSalt));
+    if (config_.data_fault.arq) {
+      transport_ = std::make_unique<HostTransport>(config_, &sim_.events());
+    }
+    if (checks_armed()) {
+      auditor_ =
+          std::make_unique<ConservationAuditor>(config_.data_fault.arq);
+    }
+  }
+}
+
+void FabricSim::add_flow(const Flow& flow) {
+  NEG_ASSERT(flow.arrival >= sim_.now(), "flow arrives in the past");
+  NEG_ASSERT(flow.src >= 0 && flow.src < config_.num_tors &&
+                 flow.dst >= 0 && flow.dst < config_.num_tors,
+             "flow endpoints out of range");
+  const int index = flow_table_.add(flow);
+  sim_.events().schedule_flow_arrival(flow.arrival, index);
+}
+
+const Flow& FabricSim::accept_arrival(int flow_index, Nanos now) {
+  const Flow& f = flow_table_.flow(flow_index);
+  Flow queued = f;
+  queued.id = flow_index;
+  tors_[static_cast<std::size_t>(f.src)].accept_flow(queued, now);
+  if (data_) injected_bytes_ += f.size;  // conservation ledger
+  return f;
+}
+
+void FabricSim::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
+  if (e.fail) {
+    links_.fail(e.tor, e.port, e.dir);
+  } else {
+    links_.repair(e.tor, e.port, e.dir);
+  }
+  if (resilience_) {
+    resilience_->on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
+  }
+}
+
+void FabricSim::schedule_link_event(Nanos when, TorId tor, PortId port,
+                                    LinkDirection dir, bool fail) {
+  sim_.events().schedule_link_toggle(when,
+                                     LinkToggleEvent{tor, port, dir, fail});
+}
+
+void FabricSim::schedule_data_loss(Nanos start, Nanos end,
+                                   double drop_floor) {
+  if (data_) data_->add_loss_window(start, end, drop_floor);
+}
+
+void FabricSim::set_resilience(ResilienceRecorder* recorder) {
+  resilience_ = recorder;
+  if (data_) data_->set_recorder(recorder);
+  if (transport_) transport_->set_recorder(recorder);
+}
+
+void FabricSim::flush_deliveries(Nanos arrival) {
+  if (delivery_build_.empty()) return;
+  if (transport_) {
+    // Receiver-side ARQ filter: only a unit's first arrival survives to
+    // the effects below; duplicates and copies of abandoned units vanish
+    // here.
+    std::size_t keep = 0;
+    for (const DeliveryRecord& r : delivery_build_) {
+      if (transport_->on_deliver(static_cast<std::int32_t>(r.flow), r.seq,
+                                 r.bytes, arrival)) {
+        delivery_build_[keep++] = r;
+      }
+    }
+    delivery_build_.resize(keep);
+    if (delivery_build_.empty()) return;
+  }
+  const std::size_t n = delivery_build_.size();
+  if (resilience_ && links_.failed_count() > 0) {
+    Bytes degraded = 0;
+    for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
+    resilience_->on_degraded_delivery(degraded);
+  }
+  flow_table_.credit_span(delivery_build_.data(), n, arrival, fct_);
+  goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
+  on_span_landed(delivery_build_.data(), n, arrival);
+  deliveries_ += n;
+  ++delivery_dispatches_;
+  delivery_build_.clear();
+}
+
+void FabricSim::audit_conservation(std::int64_t index) {
+  ConservationLedger l;
+  l.injected = injected_bytes_;
+  for (const TorSwitch& t : tors_) l.source_queued += t.total_pending();
+  l.delivered = flow_table_.total_delivered();
+  if (transport_) {
+    l.arq_unresolved = transport_->unresolved_bytes();
+    l.arq_delivered = transport_->delivered_bytes();
+    l.arq_abandoned = transport_->abandoned_bytes();
+  } else {
+    for (const RelayQueueSet& r : relay_) l.relay_parked += r.total_bytes();
+    l.in_transit = transit_bytes_;
+    l.dropped = data_->dropped_bytes();
+    l.corrupted = data_->corrupted_bytes();
+  }
+  auditor_->check(index, l);
+}
+
+Bytes FabricSim::total_backlog() const {
+  Bytes total = 0;
+  for (const TorSwitch& t : tors_) total += t.total_pending();
+  for (const RelayQueueSet& r : relay_) total += r.total_bytes();
+  // Every ARQ unit between first transmit and first arrival — in flight,
+  // dropped and awaiting its RTO, or queued for a retransmit slot — is
+  // backlog the fabric still owes service to: drain loops must keep
+  // simulated time moving until the pending timers fire and the
+  // retransmissions land. (Chunks parked at a relay are counted by the
+  // relay sum too; the overlap is harmless for a drain signal.)
+  if (transport_) total += transport_->unresolved_bytes();
+  return total;
+}
+
 // --------------------------------------------------------- NegotiatorFabric
 
 NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
                                    Nanos stats_window_ns)
-    : config_(config),
-      topo_(make_topology(config)),
+    : FabricSim(config, stats_window_ns),
       schedule_(config.topology, config.num_tors, config.ports_per_tor),
       timing_(config),
       relay_enabled_(config.scheduler ==
                      SchedulerKind::kNegotiatorSelectiveRelay),
-      goodput_(config.num_tors, stats_window_ns),
-      links_(config.num_tors, config.ports_per_tor),
       faults_(config.num_tors, config.ports_per_tor),
       arrived_(static_cast<std::size_t>(config.num_tors) * config.num_tors,
                0),
@@ -81,12 +221,7 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
       dropped_stamp_(static_cast<std::size_t>(config.num_tors), -1),
       active_sources_(config.num_tors),
       relay_active_(config.num_tors) {
-  config_.validate();
   Rng rng(config_.seed);
-  tors_.reserve(static_cast<std::size_t>(config_.num_tors));
-  for (TorId t = 0; t < config_.num_tors; ++t) {
-    tors_.emplace_back(t, config_.num_tors, config_.pias);
-  }
   if (relay_enabled_) {
     relay_.reserve(static_cast<std::size_t>(config_.num_tors));
     for (TorId t = 0; t < config_.num_tors; ++t) {
@@ -101,7 +236,6 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
                              false);
   }
   scheduler_ = make_negotiator_scheduler(config_, *topo_, rng.fork());
-  sim_.set_sink(this);
 
   // Lossy control plane: the channel's stream derives from the run seed
   // with a fixed salt, NOT from the fork chain above — forking would
@@ -120,28 +254,8 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
       fb_starved_.assign(static_cast<std::size_t>(config_.num_tors), 0);
     }
   }
-  bool validate = config_.validate_matching;
-#ifndef NDEBUG
-  validate = true;  // invariants always on in debug/sanitizer builds
-#endif
-  if (validate) validator_ = std::make_unique<MatchingValidator>(*topo_);
-
-  // Lossy data plane + end-host ARQ: same salted private-stream contract
-  // as the control channel above — disabled -> never constructed -> zero
-  // draws, so every loss-free golden stays byte-identical. The auditor
-  // arms alongside the MatchingValidator (validate_matching or !NDEBUG)
-  // whenever the channel exists.
-  if (config_.data_fault.enabled) {
-    data_ = std::make_unique<DataChannel>(
-        config_.data_fault,
-        make_salted_stream(config_.seed, kDataChannelSeedSalt));
-    if (config_.data_fault.arq) {
-      transport_ = std::make_unique<HostTransport>(config_, &sim_.events());
-    }
-    if (validate) {
-      auditor_ =
-          std::make_unique<ConservationAuditor>(config_.data_fault.arq);
-    }
+  if (checks_armed()) {
+    validator_ = std::make_unique<MatchingValidator>(*topo_);
   }
 
   // rx ports are destination-independent in both topologies (parallel:
@@ -164,14 +278,8 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
 }
 
 void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
-  const Flow& f = flow_table_.flow(e.flow_index);
-  // Queues carry the dense FlowTable index; the external id only appears
-  // in reported samples.
-  Flow queued = f;
-  queued.id = e.flow_index;
-  tors_[static_cast<std::size_t>(f.src)].accept_flow(queued, now);
+  const Flow& f = accept_arrival(e.flow_index, now);
   active_sources_.insert(f.src);
-  if (data_) injected_bytes_ += f.size;  // conservation ledger
   arrived_[static_cast<std::size_t>(f.src) * config_.num_tors + f.dst] +=
       f.size;
   // A flow landing mid-predefined-phase can piggyback on its pair's
@@ -202,17 +310,6 @@ void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   }
 }
 
-void NegotiatorFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
-  if (e.fail) {
-    links_.fail(e.tor, e.port, e.dir);
-  } else {
-    links_.repair(e.tor, e.port, e.dir);
-  }
-  if (resilience_) {
-    resilience_->on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
-  }
-}
-
 void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
                                       const RelayTrainChunk* chunks,
                                       Nanos now) {
@@ -237,21 +334,6 @@ void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
   }
 }
 
-void NegotiatorFabric::add_flow(const Flow& flow) {
-  NEG_ASSERT(flow.arrival >= sim_.now(), "flow arrives in the past");
-  NEG_ASSERT(flow.src >= 0 && flow.src < config_.num_tors &&
-                 flow.dst >= 0 && flow.dst < config_.num_tors,
-             "flow endpoints out of range");
-  const int index = flow_table_.add(flow);
-  sim_.events().schedule_flow_arrival(flow.arrival, index);
-}
-
-void NegotiatorFabric::schedule_link_event(Nanos when, TorId tor, PortId port,
-                                           LinkDirection dir, bool fail) {
-  sim_.events().schedule_link_toggle(when,
-                                     LinkToggleEvent{tor, port, dir, fail});
-}
-
 void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
                                                  double drop_floor) {
   // Tolerated without a channel (a loss-free fabric simply has no control
@@ -260,18 +342,9 @@ void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
   if (control_) control_->add_brownout(start, end, drop_floor);
 }
 
-void NegotiatorFabric::schedule_data_loss(Nanos start, Nanos end,
-                                          double drop_floor) {
-  // Same tolerance as brownouts: without a data channel the loss window
-  // simply has no data plane to degrade.
-  if (data_) data_->add_loss_window(start, end, drop_floor);
-}
-
 void NegotiatorFabric::set_resilience(ResilienceRecorder* recorder) {
   FabricSim::set_resilience(recorder);
   if (control_) control_->set_recorder(recorder);
-  if (data_) data_->set_recorder(recorder);
-  if (transport_) transport_->set_recorder(recorder);
 }
 
 void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
@@ -286,65 +359,14 @@ void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
   }
 }
 
-void NegotiatorFabric::transmit_direct(int flow_index, TorId src, TorId dst,
-                                       Bytes bytes, Nanos now) {
-  std::uint32_t seq = 0;
-  if (transport_) {
-    seq = transport_->on_transmit(flow_index, src, dst, bytes, now);
+void NegotiatorFabric::on_span_landed(const DeliveryRecord* records,
+                                      std::size_t n, Nanos arrival) {
+  if (!host_plane_) return;
+  // Same per-record order and shared timestamp as per-packet delivery, so
+  // the receive-buffer trajectory is identical.
+  for (std::size_t i = 0; i < n; ++i) {
+    host_plane_->on_delivery(records[i].dst, records[i].bytes, arrival);
   }
-  if (data_) {
-    const DataChannel::Fate fate =
-        data_->classify(DataHopClass::kFirstHop, bytes);
-    if (!fate.deliver) return;  // lost in flight (ARQ will retransmit)
-  }
-  stage_delivery(flow_index, dst, bytes, seq);
-}
-
-bool NegotiatorFabric::try_retransmit(TorId src, TorId dst, Nanos now) {
-  if (!transport_ || !transport_->has_retx(src, dst)) return false;
-  const HostTransport::RetxChunk r = transport_->take_retx(src, dst, now);
-  // A retransmission is a first-hop transmission like any other: it
-  // redraws the channel and can be lost again (the timer re-covers it).
-  const DataChannel::Fate fate =
-      data_->classify(DataHopClass::kFirstHop, r.bytes);
-  if (fate.deliver) stage_delivery(r.flow, dst, r.bytes, r.seq);
-  return true;
-}
-
-void NegotiatorFabric::flush_deliveries(Nanos arrival) {
-  if (delivery_build_.empty()) return;
-  if (transport_) {
-    // Receiver-side ARQ filter: only a unit's first arrival survives to
-    // the credit/goodput/host-plane effects below; duplicates and copies
-    // of abandoned units vanish here.
-    std::size_t keep = 0;
-    for (const DeliveryRecord& r : delivery_build_) {
-      if (transport_->on_deliver(static_cast<std::int32_t>(r.flow), r.seq,
-                                 r.bytes, arrival)) {
-        delivery_build_[keep++] = r;
-      }
-    }
-    delivery_build_.resize(keep);
-    if (delivery_build_.empty()) return;
-  }
-  const std::size_t n = delivery_build_.size();
-  if (resilience_ && links_.failed_count() > 0) {
-    Bytes degraded = 0;
-    for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
-    resilience_->on_degraded_delivery(degraded);
-  }
-  flow_table_.credit_span(delivery_build_.data(), n, arrival, fct_);
-  goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
-  if (host_plane_) {
-    // Same per-record order and shared timestamp as the inline calls the
-    // span replaces, so the receive-buffer trajectory is identical.
-    for (const DeliveryRecord& r : delivery_build_) {
-      host_plane_->on_delivery(r.dst, r.bytes, arrival);
-    }
-  }
-  deliveries_ += n;
-  ++delivery_dispatches_;
-  delivery_build_.clear();
 }
 
 void NegotiatorFabric::run_until(Nanos t) {
@@ -387,26 +409,8 @@ void NegotiatorFabric::run_epoch() {
   run_predefined_phase();
   run_scheduled_phase();
   faults_.end_epoch(resilience_, sim_.now());
-  if (auditor_) audit_conservation();
+  if (auditor_) audit_conservation(epoch_);
   ++epoch_;
-}
-
-void NegotiatorFabric::audit_conservation() {
-  ConservationLedger l;
-  l.injected = injected_bytes_;
-  for (const TorSwitch& t : tors_) l.source_queued += t.total_pending();
-  l.delivered = flow_table_.total_delivered();
-  if (transport_) {
-    l.arq_unresolved = transport_->unresolved_bytes();
-    l.arq_delivered = transport_->delivered_bytes();
-    l.arq_abandoned = transport_->abandoned_bytes();
-  } else {
-    for (const RelayQueueSet& r : relay_) l.relay_parked += r.total_bytes();
-    l.in_transit = transit_bytes_;
-    l.dropped = data_->dropped_bytes();
-    l.corrupted = data_->corrupted_bytes();
-  }
-  auditor_->check(epoch_, l);
 }
 
 NegotiatorFabric::PredefConn NegotiatorFabric::resolve_predef_conn(
@@ -480,8 +484,7 @@ void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
     NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
     ++piggyback_packets_;
     sync_source_activity(c.src);
-    transmit_direct(static_cast<int>(pkt->flow), c.src, c.dst, pkt->bytes,
-                    sim_.now());
+    transmit_direct(pkt->flow, c.src, c.dst, pkt->bytes, sim_.now());
   } else if (!faults_.tx_excluded(c.src, c.tx) &&
              !faults_.rx_excluded(c.dst, c.rx)) {
     // Undetected failure: the packet is transmitted into a dark fibre
@@ -625,7 +628,6 @@ void NegotiatorFabric::run_fallback_slot() {
       if (d == kInvalidTor) continue;
       const PortId rx =
           rx_port_table_[static_cast<std::size_t>(s) * ports + p];
-      if (rx == kInvalidPort) continue;
       if (fb_rx_stamp_[static_cast<std::size_t>(d) * ports + rx] == epoch_) {
         continue;
       }
@@ -642,8 +644,7 @@ void NegotiatorFabric::run_fallback_slot() {
       auto pkt = tor.dequeue_packet(d, payload);
       NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
       sync_source_activity(s);
-      transmit_direct(static_cast<int>(pkt->flow), s, d, pkt->bytes,
-                      sim_.now());
+      transmit_direct(pkt->flow, s, d, pkt->bytes, sim_.now());
       fallback_bytes_ += pkt->bytes;
       if (resilience_) resilience_->on_fallback_delivery(pkt->bytes);
       sent = true;
@@ -720,8 +721,7 @@ void NegotiatorFabric::run_scheduled_phase() {
         NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
         ++match_slots_used_;
         sync_source_activity(m.src);
-        transmit_direct(static_cast<int>(pkt->flow), m.src, m.dst,
-                        pkt->bytes, sim_.now());
+        transmit_direct(pkt->flow, m.src, m.dst, pkt->bytes, sim_.now());
         live_matches_[keep++] = index;
         continue;
       }
@@ -749,16 +749,7 @@ void NegotiatorFabric::run_scheduled_phase() {
               parked.dequeue_span(m.dst, payload, 1, &chunk);
           NEG_ASSERT(got == 1, "pending relay yielded no chunk");
           sync_relay_activity(m.src);
-          bool deliver = true;
-          if (data_) {
-            deliver =
-                data_->classify(DataHopClass::kSecondHop, chunk.bytes)
-                    .deliver;
-          }
-          if (deliver) {
-            stage_delivery(static_cast<int>(chunk.flow), m.dst, chunk.bytes,
-                           chunk.seq);
-          }
+          deliver_second_hop(chunk, m.dst);
           live_matches_[keep++] = index;
           continue;
         }
@@ -769,23 +760,9 @@ void NegotiatorFabric::run_scheduled_phase() {
         if (auto pkt = tor.dequeue_elephant_packet(m.relay_final_dst, cap)) {
           a.relay_remaining -= pkt->bytes;
           sync_source_activity(m.src);
-          // The ARQ unit is the elephant chunk itself; a retransmission
-          // after a loss on either VLB leg goes direct (first-hop) to the
-          // final destination, never back through a relay queue.
-          std::uint32_t seq = 0;
-          if (transport_) {
-            seq = transport_->on_transmit(static_cast<std::int32_t>(
-                                              pkt->flow),
-                                          m.src, m.relay_final_dst,
-                                          pkt->bytes, sim_.now());
-          }
-          bool deliver = true;
-          if (data_) {
-            deliver =
-                data_->classify(DataHopClass::kRelay, pkt->bytes).deliver;
-          }
-          if (deliver) {
-            if (data_) transit_bytes_ += pkt->bytes;
+          if (const auto seq =
+                  send_first_hop_relay(pkt->flow, m.src, m.relay_final_dst,
+                                       pkt->bytes, sim_.now())) {
             // Batched data plane: the chunk joins this slot's train
             // towards the intermediate m.dst; the train ships once when
             // the slot closes (same arrival time, same per-chunk order at
@@ -793,7 +770,7 @@ void NegotiatorFabric::run_scheduled_phase() {
             auto& train = train_build_[static_cast<std::size_t>(m.dst)];
             if (train.empty()) train_touched_.push_back(m.dst);
             train.push_back(RelayTrainChunk{m.dst, m.relay_final_dst,
-                                            pkt->flow, pkt->bytes, seq});
+                                            pkt->flow, pkt->bytes, *seq});
           }
         }
       }
@@ -822,20 +799,6 @@ void NegotiatorFabric::run_scheduled_phase() {
     train_touched_.clear();
   }
   in_scheduled_phase_ = false;
-}
-
-Bytes NegotiatorFabric::total_backlog() const {
-  Bytes total = 0;
-  for (const TorSwitch& t : tors_) total += t.total_pending();
-  for (const RelayQueueSet& r : relay_) total += r.total_bytes();
-  // Every ARQ unit between first transmit and first arrival — in flight,
-  // dropped and awaiting its RTO, or queued for a retransmit slot — is
-  // backlog the fabric still owes service to: drain loops must keep
-  // simulated time moving until the pending timers fire and the
-  // retransmissions land. (Chunks parked at a relay are counted by the
-  // relay sum too; the overlap is harmless for a drain signal.)
-  if (transport_) total += transport_->unresolved_bytes();
-  return total;
 }
 
 // DemandView --------------------------------------------------------------

@@ -1,11 +1,12 @@
 // The simulated fabric: epoch-driven execution of control plane, data
-// plane, and statistics. Two implementations share this interface — the
-// NegotiaToR fabric (two-phase epochs, §3.3) defined here and the
-// traffic-oblivious rotor fabric (Sirius-style baseline) in
-// oblivious/oblivious_scheduler.h.
+// plane, and statistics. FabricSim is the core both implementations share;
+// each adds its own slot walk — the NegotiaToR fabric (two-phase epochs,
+// §3.3) defined here and the traffic-oblivious rotor fabric (Sirius-style
+// baseline) in oblivious/oblivious_scheduler.h.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/config.h"
@@ -65,49 +66,59 @@ class FlowTable {
   Bytes total_delivered_{0};
 };
 
-class FabricSim {
+/// The fabric core both implementations share (§4.1: same ToRs, PIAS
+/// queues, links and data plane; only the scheduling differs). It owns the
+/// config, topology, clock, source and relay queues, flow table, stats,
+/// link state, the per-slot delivery span and the optional lossy data
+/// plane (channel, ARQ transport, conservation auditor). A subclass adds
+/// its own slot walk (run_until) and scheduler state, and handles flow
+/// arrivals, relay trains and ARQ timers for its dirty sets.
+class FabricSim : private EventSink {
  public:
   virtual ~FabricSim() = default;
+  // The event queue and the ARQ transport hold pointers into the fabric.
+  FabricSim(const FabricSim&) = delete;
+  FabricSim& operator=(const FabricSim&) = delete;
 
   /// Registers a flow arriving at `flow.arrival` (>= now).
-  virtual void add_flow(const Flow& flow) = 0;
+  void add_flow(const Flow& flow);
   void add_flows(const std::vector<Flow>& flows) {
     for (const Flow& f : flows) add_flow(f);
   }
 
   /// Advances simulated time to `t` (whole epochs/slots are processed).
   virtual void run_until(Nanos t) = 0;
-  virtual Nanos now() const = 0;
+  Nanos now() const { return sim_.now(); }
 
-  virtual FctRecorder& fct() = 0;
-  virtual GoodputMeter& goodput() = 0;
-  virtual LinkState& links() = 0;
-  virtual const NetworkConfig& config() const = 0;
+  FctRecorder& fct() { return fct_; }
+  GoodputMeter& goodput() { return goodput_; }
+  LinkState& links() { return links_; }
+  const NetworkConfig& config() const { return config_; }
 
   /// Bytes still queued anywhere in the fabric.
-  virtual Bytes total_backlog() const = 0;
+  Bytes total_backlog() const;
 
   /// Logical (per-chunk) events executed by the simulation clock so far
   /// (perf accounting for bench_perf_engine; representation-independent,
   /// so it survives event-batching refactors).
-  virtual std::uint64_t events_executed() const = 0;
+  std::uint64_t events_executed() const { return sim_.events().executed(); }
 
   /// Physical queue pops behind events_executed(): one batched chunk
   /// train counts once here but per chunk above, so executed/dispatched
   /// is the data plane's mean batching factor.
-  virtual std::uint64_t events_dispatched() const {
-    return events_executed();
+  std::uint64_t events_dispatched() const {
+    return sim_.events().dispatched();
   }
 
   /// Final-destination packet deliveries that rode a coalesced per-slot
   /// delivery span so far (second-hop relay + direct data).
-  virtual std::uint64_t deliveries() const { return 0; }
+  std::uint64_t deliveries() const { return deliveries_; }
 
   /// Coalesced delivery walks flushed so far (at most one per slot);
   /// deliveries() / delivery_dispatches() is the delivery-side batching
   /// factor — the second-hop mirror of events/dispatches on the enqueue
   /// side.
-  virtual std::uint64_t delivery_dispatches() const { return 0; }
+  std::uint64_t delivery_dispatches() const { return delivery_dispatches_; }
 
   // Fixed at the serial walk; kept only for perfbench/negbench.cpp.
   int sim_threads() const { return 1; }
@@ -119,8 +130,8 @@ class FabricSim {
 
   /// Schedules a link failure (fail=true) or repair at absolute time
   /// `when`.
-  virtual void schedule_link_event(Nanos when, TorId tor, PortId port,
-                                   LinkDirection dir, bool fail) = 0;
+  void schedule_link_event(Nanos when, TorId tor, PortId port,
+                           LinkDirection dir, bool fail);
 
   /// Schedules a control-plane brownout window [start, end) with an
   /// absolute message-drop floor (engine/fault_scenario.h,
@@ -131,11 +142,10 @@ class FabricSim {
                                          double /*drop_floor*/) {}
 
   /// Schedules a data-plane loss window [start, end) with an absolute
-  /// chunk-drop floor (engine/fault_scenario.h, DataLossSpec). Default
-  /// no-op: a fabric whose data channel is disabled tolerates data-loss
+  /// chunk-drop floor (engine/fault_scenario.h, DataLossSpec). A no-op
+  /// when the data channel is disabled: such a fabric tolerates data-loss
   /// scenarios silently — same contract as brownouts above.
-  virtual void schedule_data_loss(Nanos /*start*/, Nanos /*end*/,
-                                  double /*drop_floor*/) {}
+  void schedule_data_loss(Nanos start, Nanos end, double drop_floor);
 
   /// Ports currently excluded by the fault-detection plane (counted per
   /// direction; 0 for fabrics without detection, e.g. the oblivious
@@ -145,54 +155,179 @@ class FabricSim {
   /// Attaches an optional resilience-metrics sink (see
   /// stats/resilience_recorder.h). The recorder must outlive the fabric
   /// or be detached with set_resilience(nullptr). Null — the default —
-  /// keeps every hot path byte-identical to a recorder-free build.
-  /// Virtual so fabrics can propagate the sink to sub-components (the
-  /// negotiator fabric forwards it to its lossy control channel).
-  virtual void set_resilience(ResilienceRecorder* recorder) {
-    resilience_ = recorder;
-  }
+  /// keeps every hot path byte-identical to a recorder-free build. The
+  /// sink is forwarded to the data channel and transport; virtual so the
+  /// negotiator fabric can also forward it to its lossy control channel.
+  virtual void set_resilience(ResilienceRecorder* recorder);
   ResilienceRecorder* resilience() const { return resilience_; }
 
+  /// Lossy data channel (null when data_fault is disabled).
+  const DataChannel* data_channel() const { return data_.get(); }
+  /// End-host ARQ transport (null unless data_fault.enabled && .arq).
+  const HostTransport* host_transport() const { return transport_.get(); }
+  /// Byte-conservation auditor (null unless armed; see
+  /// engine/conservation_auditor.h).
+  const ConservationAuditor* conservation_auditor() const {
+    return auditor_.get();
+  }
+
  protected:
+  /// Validates `config` and builds the shared core. Lossy data plane +
+  /// end-host ARQ use a private salted stream, never the fabric's fork
+  /// chain, and are never built when disabled (zero draws — every
+  /// loss-free golden pins this).
+  FabricSim(const NetworkConfig& config, Nanos stats_window_ns);
+
+  /// Invariant checkers (MatchingValidator, ConservationAuditor) arm on
+  /// config.validate_matching, and always in debug/sanitizer builds.
+  bool checks_armed() const {
+#ifndef NDEBUG
+    return true;
+#else
+    return config_.validate_matching;
+#endif
+  }
+
+  /// Queues an arriving flow at its source ToR (queues carry the dense
+  /// FlowTable index; the external id only appears in reported samples)
+  /// and books it in the conservation ledger. Returns the flow.
+  const Flow& accept_arrival(int flow_index, Nanos now);
+
+  /// Parks one final-destination delivery on the current slot's span. The
+  /// dequeue already happened (queue state must stay live for same-slot
+  /// reads); the flow credit / FCT / goodput effects ride the span and
+  /// land in flush_deliveries in staged order.
+  void stage_delivery(FlowId flow, TorId dst, Bytes bytes,
+                      std::uint32_t seq = 0) {
+    delivery_build_.push_back(DeliveryRecord{flow, dst, bytes, seq});
+  }
+  /// Transmits one fresh direct (first-hop) packet through the lossy data
+  /// plane: stamps the ARQ seq (when the transport is on), draws the
+  /// channel fate, and stages the delivery when the chunk survives.
+  /// Without a data channel this is exactly stage_delivery. `src` is the
+  /// transmitting ToR (the ARQ unit's retransmit origin).
+  void transmit_direct(FlowId flow, TorId src, TorId dst, Bytes bytes,
+                       Nanos now) {
+    std::uint32_t seq = 0;
+    if (transport_) {
+      seq = transport_->on_transmit(static_cast<std::int32_t>(flow), src,
+                                    dst, bytes, now);
+    }
+    if (data_ && !data_->classify(DataHopClass::kFirstHop, bytes).deliver) {
+      return;  // lost in flight (ARQ will retransmit)
+    }
+    stage_delivery(flow, dst, bytes, seq);
+  }
+  /// One retransmission attempt for pair (src, dst), if the transport has
+  /// work queued there; returns true when a slot was consumed. A
+  /// retransmission goes direct, never back through a relay queue, and
+  /// redraws the channel: it can be lost again (the timer re-covers it).
+  bool try_retransmit(TorId src, TorId dst, Nanos now) {
+    if (!transport_ || !transport_->has_retx(src, dst)) return false;
+    const HostTransport::RetxChunk r = transport_->take_retx(src, dst, now);
+    if (data_->classify(DataHopClass::kFirstHop, r.bytes).deliver) {
+      stage_delivery(r.flow, dst, r.bytes, r.seq);
+    }
+    return true;
+  }
+  /// Second VLB hop: a chunk dequeued from a relay queue towards its
+  /// final destination `dst` draws its fate and, surviving, is staged.
+  void deliver_second_hop(const RelayChunk& chunk, TorId dst) {
+    if (data_ &&
+        !data_->classify(DataHopClass::kSecondHop, chunk.bytes).deliver) {
+      return;
+    }
+    stage_delivery(chunk.flow, dst, chunk.bytes, chunk.seq);
+  }
+  /// First VLB hop of a chunk bound for `final_dst` via an intermediate:
+  /// the ARQ unit is the chunk itself (a retransmission after a loss on
+  /// either leg goes direct to `final_dst`). Returns the seq to stamp on
+  /// a surviving chunk, which counts as in transit until its train lands;
+  /// nullopt when the relay hop lost it.
+  std::optional<std::uint32_t> send_first_hop_relay(FlowId flow, TorId src,
+                                                    TorId final_dst,
+                                                    Bytes bytes, Nanos now) {
+    std::uint32_t seq = 0;
+    if (transport_) {
+      seq = transport_->on_transmit(static_cast<std::int32_t>(flow), src,
+                                    final_dst, bytes, now);
+    }
+    if (data_) {
+      if (!data_->classify(DataHopClass::kRelay, bytes).deliver) {
+        return std::nullopt;
+      }
+      transit_bytes_ += bytes;
+    }
+    return seq;
+  }
+
+  /// Lands the staged span as one coalesced walk at the slot's shared
+  /// `arrival`: the receiver-side ARQ filter, degraded-delivery
+  /// accounting, credit_span (bulk FCT completion), record_delivery_span
+  /// (per-destination deltas), then on_span_landed for fabric-specific
+  /// effects, in staged order.
+  void flush_deliveries(Nanos arrival);
+  /// Per-span hook after the shared delivery effects (the negotiator's
+  /// §3.6.5 host-plane drain); default no-op.
+  virtual void on_span_landed(const DeliveryRecord* /*records*/,
+                              std::size_t /*n*/, Nanos /*arrival*/) {}
+
+  /// Assembles the boundary ledger and runs the auditor; `index` is the
+  /// epoch (negotiator) or rotor cycle (oblivious) being closed.
+  void audit_conservation(std::int64_t index);
+
+  NetworkConfig config_;
+  std::unique_ptr<FlatTopology> topo_;
+  Simulation sim_;
+  std::vector<TorSwitch> tors_;
+  /// Parked second-hop data, one set per ToR: always built by the
+  /// oblivious fabric, only by the selective-relay negotiator variant.
+  std::vector<RelayQueueSet> relay_;
+  FlowTable flow_table_;
+  FctRecorder fct_;
+  GoodputMeter goodput_;
+  LinkState links_;
+
+  /// Per-slot delivery span: records staged in dequeue order, flushed
+  /// once per slot. Counters feed deliveries_per_dispatch in
+  /// bench_perf_engine.
+  std::vector<DeliveryRecord> delivery_build_;
+  std::uint64_t deliveries_{0};
+  std::uint64_t delivery_dispatches_{0};
+
+  // --- Lossy data plane (core/data_channel.h + tor/host_transport.h) ---
+  //
+  // Absent (the default) every data path is byte-identical to a
+  // channel-free build. The transport exists only when data_fault.arq is
+  // also set; the auditor arms with checks_armed() whenever the channel
+  // exists. The channel samples loss windows per negotiator epoch or
+  // rotor slot; the auditor runs at each epoch or cycle boundary.
+  std::unique_ptr<DataChannel> data_;
+  std::unique_ptr<HostTransport> transport_;
+  std::unique_ptr<ConservationAuditor> auditor_;
+  /// Ledger counters maintained only when data_ exists.
+  Bytes injected_bytes_{0};
+  Bytes transit_bytes_{0};  // relay train chunks not yet landed
+
   ResilienceRecorder* resilience_{nullptr};
+
+ private:
+  void on_link_toggle(const LinkToggleEvent& e, Nanos now) final;
 };
 
 /// NegotiaToR fabric: predefined + scheduled phases per epoch.
-class NegotiatorFabric final : public FabricSim,
-                               public DemandView,
-                               private EventSink {
+class NegotiatorFabric final : public FabricSim, public DemandView {
  public:
   /// `stats_window_ns` > 0 enables per-ToR bandwidth time series.
   explicit NegotiatorFabric(const NetworkConfig& config,
                             Nanos stats_window_ns = 0);
 
-  void add_flow(const Flow& flow) override;
   void run_until(Nanos t) override;
-  Nanos now() const override { return sim_.now(); }
-  FctRecorder& fct() override { return fct_; }
-  GoodputMeter& goodput() override { return goodput_; }
-  LinkState& links() override { return links_; }
-  const NetworkConfig& config() const override { return config_; }
-  Bytes total_backlog() const override;
-  std::uint64_t events_executed() const override {
-    return sim_.events().executed();
-  }
-  std::uint64_t events_dispatched() const override {
-    return sim_.events().dispatched();
-  }
   std::vector<double> match_ratio_series() const override {
     return ratio_series_;
   }
-  std::uint64_t deliveries() const override { return deliveries_; }
-  std::uint64_t delivery_dispatches() const override {
-    return delivery_dispatches_;
-  }
-  void schedule_link_event(Nanos when, TorId tor, PortId port,
-                           LinkDirection dir, bool fail) override;
   void schedule_control_brownout(Nanos start, Nanos end,
                                  double drop_floor) override;
-  void schedule_data_loss(Nanos start, Nanos end,
-                          double drop_floor) override;
   void set_resilience(ResilienceRecorder* recorder) override;
   int excluded_ports() const override { return faults_.excluded_count(); }
 
@@ -227,15 +362,6 @@ class NegotiatorFabric final : public FabricSim,
 
   /// Lossy control channel (null when control_fault is disabled).
   const ControlChannel* control_channel() const { return control_.get(); }
-  /// Lossy data channel (null when data_fault is disabled).
-  const DataChannel* data_channel() const { return data_.get(); }
-  /// End-host ARQ transport (null unless data_fault.enabled && .arq).
-  const HostTransport* host_transport() const { return transport_.get(); }
-  /// Byte-conservation auditor (null unless armed; see
-  /// engine/conservation_auditor.h).
-  const ConservationAuditor* conservation_auditor() const {
-    return auditor_.get();
-  }
   /// Scheduled slots in which the oblivious fallback delivered data, and
   /// the bytes it moved (0 unless control_fault.fallback).
   std::int64_t degraded_slots() const { return degraded_slots_; }
@@ -244,10 +370,12 @@ class NegotiatorFabric final : public FabricSim,
  private:
   // EventSink: typed events scheduled on the simulation clock.
   void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override;
-  void on_link_toggle(const LinkToggleEvent& e, Nanos now) override;
   void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
                       Nanos now) override;
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;
+  /// §3.6.5: the host plane drains each landed delivery, in span order.
+  void on_span_landed(const DeliveryRecord* records, std::size_t n,
+                      Nanos arrival) override;
 
   void run_epoch();
   void run_predefined_phase();
@@ -264,30 +392,6 @@ class NegotiatorFabric final : public FabricSim,
   /// Epoch setup for the fallback: books matched tx/rx ports and snapshots
   /// the unmatched-but-active source list (ascending, deterministic).
   void prepare_fallback_epoch();
-
-  /// Parks one final-destination delivery on the current slot's span. The
-  /// dequeue already happened (queue state must stay live for same-slot
-  /// reads); the flow credit / FCT / goodput / host-plane effects ride the
-  /// span and land in flush_deliveries in staged order.
-  void stage_delivery(int flow_index, TorId dst, Bytes bytes,
-                      std::uint32_t seq = 0) {
-    delivery_build_.push_back(
-        DeliveryRecord{static_cast<FlowId>(flow_index), dst, bytes, seq});
-  }
-  /// Transmits one fresh first-hop/direct packet through the lossy data
-  /// plane: stamps the ARQ seq (when the transport is on), draws the
-  /// channel fate, and stages the delivery when the chunk survives.
-  /// Without a data channel this is exactly stage_delivery. `src` is the
-  /// transmitting ToR (the ARQ unit's retransmit origin).
-  void transmit_direct(int flow_index, TorId src, TorId dst, Bytes bytes,
-                       Nanos now);
-  /// One retransmission attempt for pair (src, dst), if the transport has
-  /// work queued there; returns true when a slot was consumed.
-  bool try_retransmit(TorId src, TorId dst, Nanos now);
-  /// Lands the staged span as one coalesced walk: credit_span (bulk FCT
-  /// completion), record_delivery_span (per-destination deltas), and the
-  /// host plane's per-record drain, all at the slot's shared `arrival`.
-  void flush_deliveries(Nanos arrival);
 
   /// Maintains active_sources_ / relay_active_ after a queue mutation at
   /// `tor` (dirty-set invariant: the fabric marks on fill, clears on
@@ -307,18 +411,9 @@ class NegotiatorFabric final : public FabricSim,
     }
   }
 
-  NetworkConfig config_;
-  std::unique_ptr<FlatTopology> topo_;
   PredefinedSchedule schedule_;
   EpochTiming timing_;
-  Simulation sim_;
-  std::vector<TorSwitch> tors_;
-  std::vector<RelayQueueSet> relay_;  // selective-relay variant only
-  bool relay_enabled_;
-  FlowTable flow_table_;
-  FctRecorder fct_;
-  GoodputMeter goodput_;
-  LinkState links_;
+  bool relay_enabled_;  // selective-relay variant: relay_ is built
   FaultPlane faults_;
   std::unique_ptr<NegotiatorScheduler> scheduler_;
   std::int64_t epoch_{0};
@@ -408,8 +503,8 @@ class NegotiatorFabric final : public FabricSim,
   std::vector<std::int32_t> dropped_next_;     // [match index] -> next in chain
 
   /// rx port of a transmission leaving (src, tx) — destination-independent
-  /// in both topologies, precomputed once. kInvalidPort for a port that
-  /// reaches no one (thin-clos self block of size 1).
+  /// in both topologies, precomputed once. Every port reaches some ToR:
+  /// validate() rejects thin-clos blocks of a single ToR.
   std::vector<PortId> rx_port_table_;  // [src * ports_per_tor + tx]
 
   /// Dirty sets of ToRs with pending direct data / parked relay bytes.
@@ -424,13 +519,6 @@ class NegotiatorFabric final : public FabricSim,
   std::vector<std::vector<RelayTrainChunk>> train_build_;  // [intermediate]
   std::vector<TorId> train_touched_;
 
-  /// Per-slot delivery span (both phases): records staged in dequeue order,
-  /// flushed once per slot. Counters feed deliveries_per_dispatch in
-  /// bench_perf_engine.
-  std::vector<DeliveryRecord> delivery_build_;
-  std::uint64_t deliveries_{0};
-  std::uint64_t delivery_dispatches_{0};
-
   // --- Lossy control plane (core/control_channel.h) ---
   //
   // Owned here, consulted by the scheduler at its exchange points. Absent
@@ -441,22 +529,6 @@ class NegotiatorFabric final : public FabricSim,
   /// created when config.validate_matching is set, and always in
   /// !NDEBUG builds.
   std::unique_ptr<MatchingValidator> validator_;
-
-  // --- Lossy data plane (core/data_channel.h + tor/host_transport.h) ---
-  //
-  // Same contract as the control channel: absent (the default) every data
-  // path is byte-identical to a channel-free build. The transport exists
-  // only when data_fault.arq is also set; the auditor arms like the
-  // MatchingValidator (validate_matching or !NDEBUG) whenever the channel
-  // exists.
-  std::unique_ptr<DataChannel> data_;
-  std::unique_ptr<HostTransport> transport_;
-  std::unique_ptr<ConservationAuditor> auditor_;
-  /// Ledger counters maintained only when data_ exists.
-  Bytes injected_bytes_{0};
-  Bytes transit_bytes_{0};  // scheduled train chunks not yet landed
-  /// Assembles the epoch-boundary ledger and runs the auditor.
-  void audit_conservation();
 
   // Fallback state (empty unless control_fault.fallback):
   /// Epochs a source must stay active-but-unmatched before the fallback

@@ -66,6 +66,20 @@ TEST(Config, RejectsBadShapes) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(Config, RejectsThinClosBlocksOfOneTor) {
+  // num_tors == ports_per_tor gives blocks of one ToR: each ToR's own
+  // block would leave an empty grant/accept ring.
+  NetworkConfig c;
+  c.topology = TopologyKind::kThinClos;
+  c.num_tors = 8;
+  c.ports_per_tor = 8;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.scheduler = SchedulerKind::kOblivious;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.num_tors = 16;  // two ToRs per block
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Config, RejectsRelayVariantOnParallel) {
   NetworkConfig c;
   c.scheduler = SchedulerKind::kNegotiatorSelectiveRelay;

@@ -14,7 +14,6 @@
 #include "engine/conservation_auditor.h"
 #include "engine/network.h"
 #include "engine/runner.h"
-#include "oblivious/oblivious_scheduler.h"
 #include "stats/resilience_recorder.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -208,13 +207,12 @@ TEST(DataChannel, ConservationLedgerBalancesWithoutArq) {
                         cfg.host_rate(), 0.6, Rng(cfg.seed));
   runner.add_flows(gen.generate(0, kDuration));
   runner.run(kDuration, kDuration / 4);
-  auto* fabric = dynamic_cast<NegotiatorFabric*>(&runner.fabric());
-  ASSERT_NE(fabric, nullptr);
-  ASSERT_NE(fabric->data_channel(), nullptr);
-  ASSERT_NE(fabric->conservation_auditor(), nullptr);
-  EXPECT_EQ(fabric->host_transport(), nullptr) << "ARQ off -> no transport";
-  EXPECT_GT(fabric->data_channel()->dropped(), 0);
-  EXPECT_GT(fabric->conservation_auditor()->checks(), 0);
+  const FabricSim& fabric = runner.fabric();
+  ASSERT_NE(fabric.data_channel(), nullptr);
+  ASSERT_NE(fabric.conservation_auditor(), nullptr);
+  EXPECT_EQ(fabric.host_transport(), nullptr) << "ARQ off -> no transport";
+  EXPECT_GT(fabric.data_channel()->dropped(), 0);
+  EXPECT_GT(fabric.conservation_auditor()->checks(), 0);
 }
 
 TEST(DataChannel, ConservationLedgerBalancesOnTheObliviousFabric) {
@@ -225,12 +223,11 @@ TEST(DataChannel, ConservationLedgerBalancesOnTheObliviousFabric) {
                         cfg.host_rate(), 0.6, Rng(cfg.seed));
   runner.add_flows(gen.generate(0, kDuration));
   runner.run(kDuration, kDuration / 4);
-  auto* fabric = dynamic_cast<ObliviousFabric*>(&runner.fabric());
-  ASSERT_NE(fabric, nullptr);
-  ASSERT_NE(fabric->data_channel(), nullptr);
-  ASSERT_NE(fabric->conservation_auditor(), nullptr);
-  EXPECT_GT(fabric->data_channel()->dropped(), 0);
-  EXPECT_GT(fabric->conservation_auditor()->checks(), 0);
+  const FabricSim& fabric = runner.fabric();
+  ASSERT_NE(fabric.data_channel(), nullptr);
+  ASSERT_NE(fabric.conservation_auditor(), nullptr);
+  EXPECT_GT(fabric.data_channel()->dropped(), 0);
+  EXPECT_GT(fabric.conservation_auditor()->checks(), 0);
 }
 
 // Loss is loss: at a fixed seed and horizon, a lossy run can never

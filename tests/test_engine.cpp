@@ -1,6 +1,8 @@
 // End-to-end integration tests of the NegotiaToR fabric on small networks.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/runner.h"
 #include "workload/all_to_all.h"
 #include "workload/generator.h"
@@ -197,6 +199,27 @@ TEST(Engine, RejectsFlowsArrivingInThePast) {
   fab->run_until(100'000);
   EXPECT_DEATH(fab->add_flow(one_flow(0, 1, 100, 50)), "past");
 }
+
+// Both fabrics share add_flow, so both reject an out-of-range endpoint at
+// registration instead of indexing past the ToR array at arrival.
+class FabricEndpoints : public ::testing::TestWithParam<SchedulerKind> {};
+
+TEST_P(FabricEndpoints, RejectsOutOfRangeEndpoints) {
+  NetworkConfig cfg = small(TopologyKind::kParallel);
+  cfg.scheduler = GetParam();
+  auto fab = make_fabric(cfg);
+  EXPECT_DEATH(fab->add_flow(one_flow(cfg.num_tors, 1, 100, 0)),
+               "endpoints out of range");
+  EXPECT_DEATH(fab->add_flow(one_flow(0, -1, 100, 0)),
+               "endpoints out of range");
+}
+
+INSTANTIATE_TEST_SUITE_P(BothFabrics, FabricEndpoints,
+                         ::testing::Values(SchedulerKind::kNegotiator,
+                                           SchedulerKind::kOblivious),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 TEST(FlowTable, CreditSpanMatchesSequentialCredits) {
   // A slot's coalesced delivery span must advance the table and land
