@@ -27,7 +27,6 @@
 // mice p99 under heavy loss at the price of occasionally displacing
 // matched traffic — which is why the bar is pinned on the saturated plane.
 #include "bench_common.h"
-#include "stats/resilience_recorder.h"
 #include "stats/table.h"
 
 using namespace negbench;
@@ -79,21 +78,20 @@ int main() {
     points.push_back(custom_point(
         [cfg, duration, kLoad](const SweepPoint&) {
           Runner runner(cfg);
-          ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-          runner.fabric().set_resilience(&rec);
           runner.add_flows(load_workload(cfg, SizeDistribution::hadoop(),
                                          kLoad, duration, cfg.seed));
           const RunResult r = runner.run(duration, duration / 2);
+          const FabricCounters c = runner.fabric().counters();
           SweepOutcome out;
-          out.metrics = {rec.control_grants() > 0 ? rec.control_match_ratio()
-                                                  : r.mean_match_ratio,
+          out.metrics = {c.control_grants > 0 ? c.control_match_ratio()
+                                              : r.mean_match_ratio,
                          static_cast<double>(r.completed),
                          r.mice.p99_ns,
                          r.all_flows.mean_ns,
                          static_cast<double>(r.backlog),
-                         static_cast<double>(rec.fallback_bytes()),
-                         static_cast<double>(rec.degraded_slots()),
-                         static_cast<double>(rec.control_dropped())};
+                         static_cast<double>(c.fallback_bytes),
+                         static_cast<double>(c.degraded_slots),
+                         static_cast<double>(c.control_dropped)};
           return out;
         },
         std::string(name) + " drop " + fmt(drop, 2) +
@@ -147,8 +145,6 @@ int main() {
         sat_points.push_back(custom_point(
             [cfg, duration](const SweepPoint&) {
               Runner runner(cfg);
-              ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-              runner.fabric().set_resilience(&rec);
               FlowId id = 0;
               for (TorId s = 0; s < cfg.num_tors; ++s) {
                 for (TorId d = 0; d < cfg.num_tors; ++d) {
@@ -163,11 +159,12 @@ int main() {
                 }
               }
               const RunResult r = runner.run(duration, duration / 2);
+              const FabricCounters c = runner.fabric().counters();
               SweepOutcome out;
               out.metrics = {static_cast<double>(r.backlog),
-                             static_cast<double>(rec.fallback_bytes()),
-                             static_cast<double>(rec.degraded_slots()),
-                             rec.control_match_ratio()};
+                             static_cast<double>(c.fallback_bytes),
+                             static_cast<double>(c.degraded_slots),
+                             c.control_match_ratio()};
               return out;
             },
             std::string(sys.name) + " saturated drop " + fmt(drop, 2) +

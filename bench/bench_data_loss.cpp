@@ -23,7 +23,6 @@
 // measurement window must stay within 3x the lossless run's mean — loss
 // recovery is allowed to cost tail latency, not goodput.
 #include "bench_common.h"
-#include "stats/resilience_recorder.h"
 #include "stats/table.h"
 
 using namespace negbench;
@@ -79,20 +78,19 @@ int main() {
     points.push_back(custom_point(
         [cfg, duration, kLoad](const SweepPoint&) {
           Runner runner(cfg);
-          ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-          runner.fabric().set_resilience(&rec);
           runner.add_flows(load_workload(cfg, SizeDistribution::hadoop(),
                                          kLoad, duration, cfg.seed));
           const RunResult r = runner.run(duration, duration / 2);
+          const FabricCounters c = runner.fabric().counters();
           SweepOutcome out;
           out.metrics = {static_cast<double>(r.completed),
                          r.mice.p99_ns,
                          r.all_flows.mean_ns,
-                         static_cast<double>(rec.data_dropped_bytes()),
-                         static_cast<double>(rec.data_corrupted_bytes()),
-                         static_cast<double>(rec.retransmitted_bytes()),
-                         static_cast<double>(rec.rto_fires()),
-                         static_cast<double>(rec.spurious_retx())};
+                         static_cast<double>(c.data_dropped_bytes),
+                         static_cast<double>(c.data_corrupted_bytes),
+                         static_cast<double>(c.retransmitted_bytes),
+                         static_cast<double>(c.rto_fires),
+                         static_cast<double>(c.spurious_retx)};
           return out;
         },
         std::string(name) + " drop " + fmt(drop, 2) + (arq ? " +arq" : "")));
@@ -136,8 +134,6 @@ int main() {
       bar_points.push_back(custom_point(
           [cfg, duration, kLoad](const SweepPoint&) {
             Runner runner(cfg);
-            ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-            runner.fabric().set_resilience(&rec);
             const auto flows = load_workload(
                 cfg, SizeDistribution::hadoop(), kLoad, duration, cfg.seed);
             double offered = 0;

@@ -125,13 +125,14 @@ int main() {
                                              phase + phase / 3, 2 * phase);
             const double post = window_sum(g, base.num_tors,
                                            2 * phase + phase / 3, end);
+            const FabricCounters c = runner.fabric().counters();
             SweepOutcome out;
             out.metrics = {during / pre,
                            post / pre,
-                           rec.detection().mean(),
-                           rec.recovery().mean(),
-                           static_cast<double>(rec.exclusion_churn()),
-                           static_cast<double>(rec.blackholed_bytes())};
+                           c.detection_mean_ns(),
+                           c.recovery_mean_ns(),
+                           static_cast<double>(c.exclusion_churn()),
+                           static_cast<double>(c.blackholed_bytes)};
             return out;
           },
           std::string(sys.name) + " " + z.name));

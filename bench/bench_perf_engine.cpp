@@ -257,6 +257,14 @@ struct SweepPerf {
   }
 };
 
+/// Copies a finished run's event-engine and delivery counters.
+void read_engine_counters(PerfRun& run, const FabricCounters& c) {
+  run.events = static_cast<std::uint64_t>(c.events_executed);
+  run.dispatches = static_cast<std::uint64_t>(c.events_dispatched);
+  run.deliveries = static_cast<std::uint64_t>(c.deliveries);
+  run.delivery_dispatches = static_cast<std::uint64_t>(c.delivery_dispatches);
+}
+
 /// FNV-1a over the run's complete observable output (every FCT sample plus
 /// the summary metrics) — the same recipe test_seed_equivalence pins, so a
 /// scaling row's fingerprint doubles as a bit-identity witness at the Ns
@@ -316,10 +324,7 @@ PerfRun measure_engine(const char* name, TopologyKind topo,
   out.load = load;
   out.sim_ns = duration;
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events = runner.fabric().events_executed();
-  out.dispatches = runner.fabric().events_dispatched();
-  out.deliveries = runner.fabric().deliveries();
-  out.delivery_dispatches = runner.fabric().delivery_dispatches();
+  read_engine_counters(out, runner.fabric().counters());
   out.result_fingerprint = result_fingerprint(runner, r);
   out.flows = flows.size();
   out.completed = r.completed;
@@ -389,10 +394,8 @@ StormRun measure_storm(const char* name, TopologyKind topo,
   out.run.load = load;
   out.run.sim_ns = duration;
   out.run.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.run.events = runner.fabric().events_executed();
-  out.run.dispatches = runner.fabric().events_dispatched();
-  out.run.deliveries = runner.fabric().deliveries();
-  out.run.delivery_dispatches = runner.fabric().delivery_dispatches();
+  const FabricCounters c = runner.fabric().counters();
+  read_engine_counters(out.run, c);
   out.run.result_fingerprint = result_fingerprint(runner, r);
   out.run.flows = flows.size();
   out.run.completed = r.completed;
@@ -402,8 +405,8 @@ StormRun measure_storm(const char* name, TopologyKind topo,
   const double during =
       goodput_window_sum(g, cfg.num_tors, phase + phase / 3, 2 * phase);
   out.degradation_ratio = pre > 0 ? during / pre : 0.0;
-  out.exclusion_churn = rec.exclusion_churn();
-  out.blackholed_bytes = static_cast<std::uint64_t>(rec.blackholed_bytes());
+  out.exclusion_churn = c.exclusion_churn();
+  out.blackholed_bytes = static_cast<std::uint64_t>(c.blackholed_bytes);
   return out;
 }
 
@@ -442,8 +445,6 @@ ControlLossRun measure_control_loss(const char* name, TopologyKind topo,
     cfg.control_fault.fallback = fallback;
   }
   Runner runner(cfg);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), load, Rng(9));
   const auto flows = gen.generate(0, duration);
@@ -459,20 +460,18 @@ ControlLossRun measure_control_loss(const char* name, TopologyKind topo,
   out.run.load = load;
   out.run.sim_ns = duration;
   out.run.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.run.events = runner.fabric().events_executed();
-  out.run.dispatches = runner.fabric().events_dispatched();
-  out.run.deliveries = runner.fabric().deliveries();
-  out.run.delivery_dispatches = runner.fabric().delivery_dispatches();
+  const FabricCounters c = runner.fabric().counters();
+  read_engine_counters(out.run, c);
   out.run.result_fingerprint = result_fingerprint(runner, r);
   out.run.flows = flows.size();
   out.run.completed = r.completed;
   out.label = label;
-  out.match_ratio = rec.control_grants() > 0 ? rec.control_match_ratio()
-                                             : r.mean_match_ratio;
+  out.match_ratio =
+      c.control_grants > 0 ? c.control_match_ratio() : r.mean_match_ratio;
   out.stranded_bytes = static_cast<std::uint64_t>(r.backlog);
-  out.fallback_bytes = static_cast<std::uint64_t>(rec.fallback_bytes());
-  out.degraded_slots = rec.degraded_slots();
-  out.control_dropped = static_cast<std::uint64_t>(rec.control_dropped());
+  out.fallback_bytes = static_cast<std::uint64_t>(c.fallback_bytes);
+  out.degraded_slots = c.degraded_slots;
+  out.control_dropped = static_cast<std::uint64_t>(c.control_dropped);
   return out;
 }
 
@@ -510,8 +509,6 @@ DataLossRun measure_data_loss(const char* name, TopologyKind topo,
     cfg.data_fault.arq = arq;
   }
   Runner runner(cfg);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), load, Rng(9));
   const auto flows = gen.generate(0, duration);
@@ -527,23 +524,19 @@ DataLossRun measure_data_loss(const char* name, TopologyKind topo,
   out.run.load = load;
   out.run.sim_ns = duration;
   out.run.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.run.events = runner.fabric().events_executed();
-  out.run.dispatches = runner.fabric().events_dispatched();
-  out.run.deliveries = runner.fabric().deliveries();
-  out.run.delivery_dispatches = runner.fabric().delivery_dispatches();
+  const FabricCounters c = runner.fabric().counters();
+  read_engine_counters(out.run, c);
   out.run.result_fingerprint = result_fingerprint(runner, r);
   out.run.flows = flows.size();
   out.run.completed = r.completed;
   out.label = label;
-  out.data_dropped_bytes =
-      static_cast<std::uint64_t>(rec.data_dropped_bytes());
+  out.data_dropped_bytes = static_cast<std::uint64_t>(c.data_dropped_bytes);
   out.data_corrupted_bytes =
-      static_cast<std::uint64_t>(rec.data_corrupted_bytes());
-  out.retransmitted_bytes =
-      static_cast<std::uint64_t>(rec.retransmitted_bytes());
-  out.spurious_retx = rec.spurious_retx();
-  out.rto_fires = rec.rto_fires();
-  out.max_backoff_reached = rec.max_backoff_reached();
+      static_cast<std::uint64_t>(c.data_corrupted_bytes);
+  out.retransmitted_bytes = static_cast<std::uint64_t>(c.retransmitted_bytes);
+  out.spurious_retx = c.spurious_retx;
+  out.rto_fires = c.rto_fires;
+  out.max_backoff_reached = c.max_backoff_reached;
   return out;
 }
 

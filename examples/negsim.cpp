@@ -14,7 +14,10 @@
 // Prints a one-line result; with --csv, appends a machine-readable row.
 // Malformed numbers and invalid configurations exit 2 with a message.
 // --load is a fraction of host bandwidth (§4.1) and must lie in (0, 1];
-// --duration-ms must give a horizon of at least 1 ns.
+// --duration-ms must give a horizon of at least 1 ns. A workload that
+// would generate more than kMaxFlows flows (a tiny fixed flow size over a
+// long horizon) exits 2 before generating any. A run with no completed
+// mice flow prints its mice FCT as n/a (empty CSV fields).
 // --data-drop turns on the lossy data plane (core/data_channel.h) with
 // that drop probability on every hop; --arq adds end-host
 // selective-repeat retransmission (tor/host_transport.h), without which
@@ -36,6 +39,12 @@
 using namespace negotiator;
 
 namespace {
+
+/// Flow-count ceiling. A flow costs ~130 B of peak memory (generated list,
+/// flow table, arrival event), so this caps that at ~1.3 GB; the largest
+/// paper-horizon workload (Google sizes, N=128, load 1.0, 30 ms) makes
+/// ~2.2 M flows.
+constexpr double kMaxFlows = 1e7;
 
 [[noreturn]] void usage(const char* message) {
   std::fprintf(stderr, "negsim: %s\n(see the header of examples/negsim.cpp "
@@ -177,16 +186,32 @@ int main(int argc, char** argv) {
   }();
   WorkloadGenerator gen(sizes, cfg.num_tors, cfg.host_rate(), load,
                         Rng(cfg.seed));
+  const double expected_flows =
+      gen.flow_rate_per_ns() * static_cast<double>(duration);
+  if (expected_flows > kMaxFlows) {
+    char message[160];
+    std::snprintf(message, sizeof(message),
+                  "workload would generate ~%.3g flows (limit %.0e); use "
+                  "larger flows, fewer ToRs or a shorter horizon",
+                  expected_flows, kMaxFlows);
+    usage(message);
+  }
   Runner runner(cfg);
   runner.add_flows(gen.generate(0, duration));
   const RunResult r = runner.run(duration, duration / 2);
 
-  std::printf("%s | %s load=%.2f %.1fms\n", cfg.summary().c_str(),
+  // No completed mice flow means no FCT to report, not a zero FCT.
+  const bool have_mice = r.mice.count > 0;
+  char mice_fct[64] = "n/a";
+  if (have_mice) {
+    std::snprintf(mice_fct, sizeof(mice_fct), "%.1f / %.1f us",
+                  r.mice.p99_ns / 1e3, r.mice.mean_ns / 1e3);
+  }
+  std::printf("%s | %s load=%.2f %gms\n", cfg.summary().c_str(),
               workload.c_str(), load, duration_ms);
-  std::printf("mice 99p/mean FCT: %.1f / %.1f us | goodput %.3f | match "
-              "ratio %.3f | %zu flows completed\n",
-              r.mice.p99_ns / 1e3, r.mice.mean_ns / 1e3, r.goodput,
-              r.mean_match_ratio, r.completed);
+  std::printf("mice 99p/mean FCT: %s | goodput %.3f | match ratio %.3f | "
+              "%zu flows completed\n",
+              mice_fct, r.goodput, r.mean_match_ratio, r.completed);
 
   if (!csv_path.empty()) {
     const bool fresh = !std::ifstream(csv_path).good();
@@ -198,9 +223,14 @@ int main(int argc, char** argv) {
     }
     csv << to_string(cfg.topology) << ',' << to_string(cfg.scheduler) << ','
         << workload << ',' << load << ',' << duration_ms << ',' << cfg.seed
-        << ',' << r.mice.p99_ns / 1e3 << ',' << r.mice.mean_ns / 1e3 << ','
-        << r.goodput << ',' << r.mean_match_ratio << ',' << r.completed
-        << '\n';
+        << ',';
+    if (have_mice) {
+      csv << r.mice.p99_ns / 1e3 << ',' << r.mice.mean_ns / 1e3;
+    } else {
+      csv << ',';
+    }
+    csv << ',' << r.goodput << ',' << r.mean_match_ratio << ','
+        << r.completed << '\n';
   }
   return 0;
 }

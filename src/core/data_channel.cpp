@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "stats/resilience_recorder.h"
 
 namespace negotiator {
 
@@ -34,7 +33,6 @@ DataChannel::Fate DataChannel::classify(DataHopClass cls, Bytes bytes) {
   if (rng_.next_double() < effective_drop_[static_cast<int>(cls)]) {
     ++dropped_;
     dropped_bytes_ += bytes;
-    if (recorder_) recorder_->on_data_dropped(bytes);
     fate.deliver = false;
     return fate;
   }
@@ -42,7 +40,6 @@ DataChannel::Fate DataChannel::classify(DataHopClass cls, Bytes bytes) {
       rng_.next_double() < config_.corrupt_prob) {
     ++corrupted_;
     corrupted_bytes_ += bytes;
-    if (recorder_) recorder_->on_data_corrupted(bytes);
     fate.deliver = false;
     fate.corrupted = true;
   }

@@ -32,15 +32,10 @@ class EpochTiming {
 
   std::int64_t epoch_containing(Nanos t) const { return t / epoch_length_; }
 
-  /// Guardband share of the epoch (the §4.1 overhead figure, 4.37% at
-  /// defaults).
-  double guardband_fraction() const;
-
  private:
   int predefined_slots_;
   int scheduled_slots_;
   Nanos predefined_slot_ns_;
-  Nanos guardband_ns_;
   Nanos scheduled_slot_ns_;
   Nanos predefined_length_;
   Nanos epoch_length_;

@@ -19,9 +19,6 @@ class StatefulScheduler final : public NegotiatorScheduler {
   StatefulScheduler(const NetworkConfig& config, const FlatTopology& topo,
                     Rng rng);
 
-  /// Believed pending bytes at `dst` for source `src` (tests/inspection).
-  Bytes matrix_entry(TorId dst, TorId src) const;
-
  protected:
   void sample_requests(const DemandView& demand,
                        const FaultPlane& faults) override;

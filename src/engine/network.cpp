@@ -134,12 +134,6 @@ void FabricSim::schedule_data_loss(Nanos start, Nanos end,
   if (data_) data_->add_loss_window(start, end, drop_floor);
 }
 
-void FabricSim::set_resilience(ResilienceRecorder* recorder) {
-  resilience_ = recorder;
-  if (data_) data_->set_recorder(recorder);
-  if (transport_) transport_->set_recorder(recorder);
-}
-
 void FabricSim::flush_deliveries(Nanos arrival) {
   if (delivery_build_.empty()) return;
   if (transport_) {
@@ -157,10 +151,10 @@ void FabricSim::flush_deliveries(Nanos arrival) {
     if (delivery_build_.empty()) return;
   }
   const std::size_t n = delivery_build_.size();
-  if (resilience_ && links_.failed_count() > 0) {
-    Bytes degraded = 0;
-    for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
-    resilience_->on_degraded_delivery(degraded);
+  if (links_.failed_count() > 0) {
+    for (const DeliveryRecord& r : delivery_build_) {
+      degraded_delivered_bytes_ += r.bytes;
+    }
   }
   flow_table_.credit_span(delivery_build_.data(), n, arrival, fct_);
   goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
@@ -168,6 +162,40 @@ void FabricSim::flush_deliveries(Nanos arrival) {
   deliveries_ += n;
   ++delivery_dispatches_;
   delivery_build_.clear();
+}
+
+FabricCounters FabricSim::counters() const {
+  FabricCounters c;
+  c.events_executed = static_cast<std::int64_t>(events_executed());
+  c.events_dispatched = static_cast<std::int64_t>(events_dispatched());
+  c.deliveries = static_cast<std::int64_t>(deliveries_);
+  c.delivery_dispatches = static_cast<std::int64_t>(delivery_dispatches_);
+  c.degraded_delivered_bytes = degraded_delivered_bytes_;
+  if (resilience_) {
+    c.failures = resilience_->failures();
+    c.repairs = resilience_->repairs();
+    c.exclusions = resilience_->exclusions();
+    c.inclusions = resilience_->inclusions();
+    c.detection_count = resilience_->detection().count;
+    c.detection_sum_ns = resilience_->detection().sum;
+    c.recovery_count = resilience_->recovery().count;
+    c.recovery_sum_ns = resilience_->recovery().sum;
+  }
+  if (data_) {
+    c.data_dropped = data_->dropped();
+    c.data_corrupted = data_->corrupted();
+    c.data_dropped_bytes = data_->dropped_bytes();
+    c.data_corrupted_bytes = data_->corrupted_bytes();
+  }
+  if (transport_) {
+    c.retransmitted_bytes = transport_->retransmitted_bytes();
+    c.spurious_retx = transport_->spurious_retx();
+    c.rto_fires = transport_->rto_fires();
+    c.max_backoff_reached = transport_->max_backoff_reached();
+    c.abandoned_units = transport_->abandoned_units();
+  }
+  if (auditor_) c.conservation_checks = auditor_->checks();
+  return c;
 }
 
 void FabricSim::audit_conservation(std::int64_t index) {
@@ -342,9 +370,23 @@ void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
   if (control_) control_->add_brownout(start, end, drop_floor);
 }
 
-void NegotiatorFabric::set_resilience(ResilienceRecorder* recorder) {
-  FabricSim::set_resilience(recorder);
-  if (control_) control_->set_recorder(recorder);
+FabricCounters NegotiatorFabric::counters() const {
+  FabricCounters c = FabricSim::counters();
+  c.total_matches = total_matches_;
+  c.match_slots_offered = match_slots_offered_;
+  c.match_slots_used = match_slots_used_;
+  c.piggyback_packets = piggyback_packets_;
+  c.blackholed_bytes = blackholed_bytes_;
+  if (control_) {
+    c.control_dropped = control_->dropped();
+    c.control_delayed = control_->delayed();
+    c.control_duplicated = control_->duplicated();
+  }
+  c.control_grants = control_grants_;
+  c.control_accepts = control_accepts_;
+  c.degraded_slots = degraded_slots_;
+  c.fallback_bytes = fallback_bytes_;
+  return c;
 }
 
 void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
@@ -400,9 +442,10 @@ void NegotiatorFabric::run_epoch() {
     ratio_series_.push_back(static_cast<double>(scheduler_->epoch_accepts()) /
                             static_cast<double>(prev_epoch_grants_));
   }
-  if (control_ && resilience_) {
-    resilience_->on_control_match(prev_epoch_grants_,
-                                  scheduler_->epoch_accepts());
+  if (control_) {
+    control_grants_ += static_cast<std::int64_t>(prev_epoch_grants_);
+    control_accepts_ +=
+        static_cast<std::int64_t>(scheduler_->epoch_accepts());
   }
   prev_epoch_grants_ = scheduler_->epoch_grants();
 
@@ -493,7 +536,7 @@ void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
     auto pkt = tor.dequeue_packet(c.dst, config_.piggyback_payload_bytes());
     if (pkt) {
       tor.requeue_front(c.dst, *pkt);
-      if (resilience_) resilience_->on_blackholed(pkt->bytes);
+      blackholed_bytes_ += pkt->bytes;
     }
   }
 }
@@ -646,14 +689,10 @@ void NegotiatorFabric::run_fallback_slot() {
       sync_source_activity(s);
       transmit_direct(pkt->flow, s, d, pkt->bytes, sim_.now());
       fallback_bytes_ += pkt->bytes;
-      if (resilience_) resilience_->on_fallback_delivery(pkt->bytes);
       sent = true;
     }
   }
-  if (sent) {
-    ++degraded_slots_;
-    if (resilience_) resilience_->on_degraded_slot();
-  }
+  if (sent) ++degraded_slots_;
 }
 
 void NegotiatorFabric::run_scheduled_phase() {

@@ -20,6 +20,7 @@
 #include "core/negotiator_scheduler.h"
 #include "engine/conservation_auditor.h"
 #include "sim/simulation.h"
+#include "stats/fabric_counters.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
 #include "topo/link_state.h"
@@ -152,14 +153,15 @@ class FabricSim : private EventSink {
   /// baseline, and for an idle fault plane).
   virtual int excluded_ports() const { return 0; }
 
-  /// Attaches an optional resilience-metrics sink (see
+  /// Attaches an optional link-fault timeline (see
   /// stats/resilience_recorder.h). The recorder must outlive the fabric
-  /// or be detached with set_resilience(nullptr). Null — the default —
-  /// keeps every hot path byte-identical to a recorder-free build. The
-  /// sink is forwarded to the data channel and transport; virtual so the
-  /// negotiator fabric can also forward it to its lossy control channel.
-  virtual void set_resilience(ResilienceRecorder* recorder);
-  ResilienceRecorder* resilience() const { return resilience_; }
+  /// or be detached with set_resilience(nullptr); attaching one changes
+  /// no simulated behaviour.
+  void set_resilience(ResilienceRecorder* recorder) { resilience_ = recorder; }
+
+  /// Every count the fabric and its components keep, read from each
+  /// count's owner (stats/fabric_counters.h).
+  virtual FabricCounters counters() const;
 
   /// Lossy data channel (null when data_fault is disabled).
   const DataChannel* data_channel() const { return data_.get(); }
@@ -309,6 +311,8 @@ class FabricSim : private EventSink {
   Bytes injected_bytes_{0};
   Bytes transit_bytes_{0};  // relay train chunks not yet landed
 
+  /// Bytes delivered while at least one link was down.
+  Bytes degraded_delivered_bytes_{0};
   ResilienceRecorder* resilience_{nullptr};
 
  private:
@@ -328,8 +332,8 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   }
   void schedule_control_brownout(Nanos start, Nanos end,
                                  double drop_floor) override;
-  void set_resilience(ResilienceRecorder* recorder) override;
   int excluded_ports() const override { return faults_.excluded_count(); }
+  FabricCounters counters() const override;
 
   // DemandView:
   Bytes pending_bytes(TorId src, TorId dst) const override;
@@ -352,10 +356,8 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   const EpochTiming& timing() const { return timing_; }
   std::int64_t current_epoch() const { return epoch_; }
 
-  /// Scheduled-phase utilization counters (diagnostics / ablations):
-  /// matches established, match-slots offered, match-slots that carried a
-  /// packet, piggyback packets sent.
-  std::int64_t total_matches() const { return total_matches_; }
+  /// Scheduled-phase utilization: match-slots offered, match-slots that
+  /// carried a packet, piggyback packets sent.
   std::int64_t match_slots_offered() const { return match_slots_offered_; }
   std::int64_t match_slots_used() const { return match_slots_used_; }
   std::int64_t piggyback_packets() const { return piggyback_packets_; }
@@ -541,6 +543,13 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::int64_t sched_slot_counter_{0};     // global, cycles the rotor rule
   std::int64_t degraded_slots_{0};
   Bytes fallback_bytes_{0};
+  /// Run totals of prev_epoch_grants_ / epoch_accepts, summed only while
+  /// the lossy control channel exists.
+  std::int64_t control_grants_{0};
+  std::int64_t control_accepts_{0};
+  /// Bytes sent into a dark, not-yet-excluded link and requeued
+  /// (§3.6.1 wasted slots).
+  Bytes blackholed_bytes_{0};
 };
 
 /// Builds the fabric matching `config.scheduler` (NegotiaToR family or the

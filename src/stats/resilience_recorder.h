@@ -1,14 +1,12 @@
-// Resilience-metrics plane: quantifies how the fabric rides out a fault
-// scenario (engine/fault_scenario.h).
+// Link-fault timeline: how long the fabric takes to notice and to heal a
+// fault scenario (engine/fault_scenario.h).
 //
 // A recorder is attached to a fabric with FabricSim::set_resilience and
-// then fed from three places:
+// fed from two places:
 //   - the fabric's link-toggle handler (injection / repair timestamps per
-//     directed link),
+//     directed link), and
 //   - FaultPlane::end_epoch via the Listener interface (confirmed
-//     exclusion / re-inclusion transitions), and
-//   - the data plane (bytes transmitted into dark fibre before detection,
-//     bytes delivered while some link was down).
+//     exclusion / re-inclusion transitions).
 //
 // Derived metrics:
 //   - detection latency  = exclusion confirmed − most recent failure of
@@ -16,21 +14,17 @@
 //   - recovery latency   = re-inclusion confirmed − most recent repair
 //     (how long a healed link waits before carrying traffic again);
 //   - exclusion churn    = total exclusions + re-inclusions (a flapping
-//     plane excludes and re-includes the same port repeatedly);
-//   - blackholed bytes   = transmitted into a dark, not-yet-excluded link
-//     and bounced back to the queue head (wasted slots, §3.6.1);
-//   - degraded delivered bytes = delivered while failed_count() > 0 (the
-//     traffic the fabric routed around the outage).
+//     plane excludes and re-includes the same port repeatedly).
+// Every other count (blackholed and degraded bytes, control, data and ARQ
+// counters) is kept by the component that owns it and read through
+// FabricSim::counters() (stats/fabric_counters.h), which also reads these.
 //
 // Determinism: the recorder only aggregates integer event data already on
 // the simulation timeline, so its numbers are bit-identical for a fixed
-// seed. A null recorder (the default) leaves every fabric hot path
-// untouched — goldens and bench stdouts are byte-identical with no
-// recorder attached.
+// seed, and attaching one changes no simulated behaviour.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -52,106 +46,17 @@ class ResilienceRecorder final : public FaultPlane::Listener {
   void on_include(Nanos now, TorId tor, PortId port,
                   LinkDirection dir) override;
 
-  /// Bytes transmitted into a dark, not-yet-excluded link (wasted slot).
-  void on_blackholed(Bytes bytes) { blackholed_bytes_ += bytes; }
-
-  /// Bytes delivered while at least one link in the fabric was down.
-  void on_degraded_delivery(Bytes bytes) {
-    degraded_delivered_bytes_ += bytes;
-  }
-
-  // Control-plane fault hooks (core/control_channel.h + the fallback path
-  // in engine/network.cpp). All incremental; zero-cost when the lossy
-  // channel is absent because nothing calls them.
-  void on_control_dropped() { ++control_dropped_; }
-  void on_control_delayed() { ++control_delayed_; }
-  void on_control_duplicated() { ++control_duplicated_; }
-  /// A scheduled slot in which at least one unmatched source delivered via
-  /// the oblivious fallback.
-  void on_degraded_slot() { ++degraded_slots_; }
-  /// Bytes delivered through the fallback (rotor) path.
-  void on_fallback_delivery(Bytes bytes) { fallback_bytes_ += bytes; }
-  /// Per-epoch matching outcome under loss: `grants` issued in epoch e-1,
-  /// `accepts` that answered them in epoch e (Fig. 14 semantics).
-  void on_control_match(std::size_t grants, std::size_t accepts) {
-    control_grants_ += static_cast<std::int64_t>(grants);
-    control_accepts_ += static_cast<std::int64_t>(accepts);
-  }
-
-  // Data-plane fault hooks (core/data_channel.h + tor/host_transport.h).
-  // Same contract as the control hooks: incremental, and zero-cost when
-  // the lossy data plane is absent because nothing calls them.
-  void on_data_dropped(Bytes bytes) {
-    ++data_dropped_;
-    data_dropped_bytes_ += bytes;
-  }
-  void on_data_corrupted(Bytes bytes) {
-    ++data_corrupted_;
-    data_corrupted_bytes_ += bytes;
-  }
-  /// One chunk handed back to the fabric for retransmission.
-  void on_retransmit(Bytes bytes) { retransmitted_bytes_ += bytes; }
-  /// A retransmitted copy arrived for a chunk the receiver already had.
-  void on_spurious_retx() { ++spurious_retx_; }
-  /// One genuine RTO expiry (stale timer wakeups are not counted).
-  void on_rto_fire() { ++rto_fires_; }
-  /// An RTO expiry found the flow already at its backoff cap.
-  void on_max_backoff() { ++max_backoff_reached_; }
-
   struct LatencyStats {
     std::int64_t count{0};
     Nanos sum{0};
-    Nanos max{0};
-    double mean() const {
-      return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
-                       : 0.0;
-    }
   };
 
   std::int64_t failures() const { return failures_; }
   std::int64_t repairs() const { return repairs_; }
   std::int64_t exclusions() const { return exclusions_; }
   std::int64_t inclusions() const { return inclusions_; }
-  /// Exclusions + re-inclusions: how much the exclusion set thrashed.
-  std::int64_t exclusion_churn() const { return exclusions_ + inclusions_; }
   const LatencyStats& detection() const { return detection_; }
   const LatencyStats& recovery() const { return recovery_; }
-  Bytes blackholed_bytes() const { return blackholed_bytes_; }
-  Bytes degraded_delivered_bytes() const { return degraded_delivered_bytes_; }
-
-  std::int64_t control_dropped() const { return control_dropped_; }
-  std::int64_t control_delayed() const { return control_delayed_; }
-  std::int64_t control_duplicated() const { return control_duplicated_; }
-  std::int64_t degraded_slots() const { return degraded_slots_; }
-  Bytes fallback_bytes() const { return fallback_bytes_; }
-  std::int64_t control_grants() const { return control_grants_; }
-  std::int64_t control_accepts() const { return control_accepts_; }
-  /// Accepts / grants over the run under loss (0 when no grant was seen).
-  double control_match_ratio() const {
-    return control_grants_ > 0 ? static_cast<double>(control_accepts_) /
-                                     static_cast<double>(control_grants_)
-                               : 0.0;
-  }
-
-  std::int64_t data_dropped() const { return data_dropped_; }
-  std::int64_t data_corrupted() const { return data_corrupted_; }
-  Bytes data_dropped_bytes() const { return data_dropped_bytes_; }
-  Bytes data_corrupted_bytes() const { return data_corrupted_bytes_; }
-  Bytes retransmitted_bytes() const { return retransmitted_bytes_; }
-  std::int64_t spurious_retx() const { return spurious_retx_; }
-  std::int64_t rto_fires() const { return rto_fires_; }
-  std::int64_t max_backoff_reached() const { return max_backoff_reached_; }
-
-  /// Version of the json() schema below. Bump whenever a field is added,
-  /// removed, or reordered so nightly chaos-JSON diffs can tell a schema
-  /// change from a metrics change.
-  static constexpr int kSchemaVersion = 2;
-
-  /// One-line JSON object with the full metrics schema (see README
-  /// "Fault model" for field meanings). Field order is fixed — the
-  /// emission is a single snprintf, so it cannot vary across compilers —
-  /// and `schema_version` leads the object.
-  std::string json() const;
 
  private:
   struct DirState {
@@ -169,23 +74,6 @@ class ResilienceRecorder final : public FaultPlane::Listener {
   std::int64_t inclusions_{0};
   LatencyStats detection_;
   LatencyStats recovery_;
-  Bytes blackholed_bytes_{0};
-  Bytes degraded_delivered_bytes_{0};
-  std::int64_t control_dropped_{0};
-  std::int64_t control_delayed_{0};
-  std::int64_t control_duplicated_{0};
-  std::int64_t degraded_slots_{0};
-  Bytes fallback_bytes_{0};
-  std::int64_t control_grants_{0};
-  std::int64_t control_accepts_{0};
-  std::int64_t data_dropped_{0};
-  std::int64_t data_corrupted_{0};
-  Bytes data_dropped_bytes_{0};
-  Bytes data_corrupted_bytes_{0};
-  Bytes retransmitted_bytes_{0};
-  std::int64_t spurious_retx_{0};
-  std::int64_t rto_fires_{0};
-  std::int64_t max_backoff_reached_{0};
 };
 
 }  // namespace negotiator

@@ -44,9 +44,4 @@ bool LinkState::path_up(TorId src, PortId tx, TorId dst, PortId rx) const {
          is_up(dst, rx, LinkDirection::kIngress);
 }
 
-void LinkState::repair_all() {
-  up_.assign(up_.size(), true);
-  failed_count_ = 0;
-}
-
 }  // namespace negotiator

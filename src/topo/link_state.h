@@ -26,8 +26,6 @@ class LinkState {
   int failed_count() const { return failed_count_; }
   int total_links() const { return 2 * num_tors_ * ports_per_tor_; }
 
-  void repair_all();
-
   /// Raw-index fast path for precomputed hot loops: resolve the flat index
   /// of a directed link once, then poll its health with a plain bit read.
   std::size_t raw_index(TorId tor, PortId port, LinkDirection dir) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "stats/resilience_recorder.h"
 
 namespace negotiator {
 
@@ -71,7 +70,6 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
                "second arrival of a retired single-copy unit");
     NEG_ASSERT(bytes == it->bytes, "partial delivery of an ARQ unit");
     ++spurious_retx_;
-    if (recorder_) recorder_->on_spurious_retx();
     return false;
   }
   NEG_ASSERT(idx < end_idx(f), "delivery for an unknown unit");
@@ -84,7 +82,6 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
     // Duplicate (a spurious retransmission's copy) or a copy of a unit
     // the sender already gave up on: the receiver discards it.
     ++spurious_retx_;
-    if (recorder_) recorder_->on_spurious_retx();
     return false;
   }
   u.delivered_rx = true;
@@ -229,11 +226,7 @@ bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
     return false;
   }
   ++rto_fires_;
-  if (recorder_) recorder_->on_rto_fire();
-  if (f.rto >= rto_cap_ns_) {
-    ++max_backoff_reached_;
-    if (recorder_) recorder_->on_max_backoff();
-  }
+  if (f.rto >= rto_cap_ns_) ++max_backoff_reached_;
   // Escalate toward abandonment only when every earlier retransmission
   // has actually been attempted: an expiry with units still waiting in
   // the pair FIFO means the fabric never got to the repair (starved
@@ -284,7 +277,6 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
     ++u.attempts;
     f.inflight.push_back(InflightEntry{e.idx, now});
     retransmitted_bytes_ += u.bytes;
-    if (recorder_) recorder_->on_retransmit(u.bytes);
     if (!f.timer_armed) arm_timer(f, e.flow, now + f.rto);
     return RetxChunk{e.flow, f.dst, u.bytes, e.idx + 1};
   }

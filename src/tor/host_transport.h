@@ -67,8 +67,6 @@
 
 namespace negotiator {
 
-class ResilienceRecorder;  // stats/resilience_recorder.h
-
 class HostTransport {
  public:
   /// `events` outlives the transport; timers are scheduled through it.
@@ -145,9 +143,6 @@ class HostTransport {
   TorId flow_dst(std::int32_t flow) const {
     return flows_[static_cast<std::size_t>(flow)].dst;
   }
-
-  /// Optional metrics sink; may be null.
-  void set_recorder(ResilienceRecorder* recorder) { recorder_ = recorder; }
 
   // Conservation ledger (engine/conservation_auditor.h). Every
   // transmitted unit is in exactly one bucket: unresolved (somewhere
@@ -293,7 +288,6 @@ class HostTransport {
   double backoff_;
   int max_retries_;
   EventQueue* events_;
-  ResilienceRecorder* recorder_{nullptr};
 
   std::vector<FlowState> flows_;
   Fifo<Ack> acks_;  // effective-time ordered

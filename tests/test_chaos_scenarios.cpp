@@ -37,9 +37,9 @@
 //
 // NEG_CHAOS_SCENARIOS overrides the scenario count (default 108; the
 // nightly chaos job sweeps several hundred). NEG_CHAOS_JSON, when set,
-// writes an aggregate resilience-metrics JSON artifact after ALL sweeps
-// (a gtest Environment tear-down), so the control-plane counters from the
-// lossy sweep are part of the artifact.
+// writes the sum of every case's FabricCounters snapshot, through the
+// shared writer (stats/fabric_counters.h), after ALL sweeps (a gtest
+// Environment tear-down), so the lossy sweeps' counters are included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,6 +50,7 @@
 
 #include "engine/fault_scenario.h"
 #include "engine/runner.h"
+#include "stats/fabric_counters.h"
 #include "stats/resilience_recorder.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -98,31 +99,14 @@ int data_loss_case_count() {
   return 24;
 }
 
-/// Aggregate resilience metrics across every sweep in the binary; the
-/// NEG_CHAOS_JSON artifact is written from these after all tests ran.
+/// Aggregate across every sweep in the binary; the NEG_CHAOS_JSON
+/// artifact is written from these after all tests ran.
 struct SweepTotals {
   int scenarios{0};
   int lossy_cases{0};
   int data_loss_cases{0};
-  std::int64_t failures{0};
-  std::int64_t exclusion_churn{0};
-  Bytes blackholed{0};
   Bytes injected{0};
-  std::int64_t detection_count{0};
-  double detection_sum{0};
-  std::int64_t control_dropped{0};
-  std::int64_t control_delayed{0};
-  std::int64_t control_duplicated{0};
-  std::int64_t degraded_slots{0};
-  Bytes fallback_bytes{0};
-  std::int64_t control_grants{0};
-  std::int64_t control_accepts{0};
-  std::int64_t data_dropped{0};
-  std::int64_t data_corrupted{0};
-  Bytes retransmitted_bytes{0};
-  std::int64_t spurious_retx{0};
-  std::int64_t rto_fires{0};
-  std::int64_t conservation_checks{0};
+  FabricCounters counters;
 };
 SweepTotals g_totals;
 
@@ -370,18 +354,14 @@ struct ChaosOutcome {
   std::size_t completed{0};
   Bytes injected{0};
   Bytes backlog{0};
-  std::uint64_t events{0};
-  std::int64_t conservation_checks{0};
-  ResilienceRecorder rec;
-
-  explicit ChaosOutcome(const NetworkConfig& cfg)
-      : rec(cfg.num_tors, cfg.ports_per_tor) {}
+  FabricCounters counters;
 };
 
 ChaosOutcome run_case(const ChaosCase& cc, int index) {
-  ChaosOutcome out(cc.cfg);
+  ChaosOutcome out;
   Runner runner(cc.cfg);
-  runner.fabric().set_resilience(&out.rec);
+  ResilienceRecorder rec(cc.cfg.num_tors, cc.cfg.ports_per_tor);
+  runner.fabric().set_resilience(&rec);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cc.cfg.num_tors,
                         cc.cfg.host_rate(), 0.5, Rng(cc.workload_seed));
   std::vector<Flow> flows = gen.generate(0, cc.duration);
@@ -409,7 +389,7 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   }
   out.completed = fab.fct().completed();
   out.backlog = fab.total_backlog();
-  out.events = fab.events_executed();
+  out.counters = fab.counters();
 
   // Invariant 1: byte conservation — everything injected was delivered.
   EXPECT_EQ(out.backlog, 0)
@@ -426,22 +406,21 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
       << "case " << index << ": scenario left links down";
   EXPECT_EQ(fab.excluded_ports(), 0)
       << "case " << index << ": exclusions did not converge";
-  EXPECT_EQ(out.rec.failures(), static_cast<std::int64_t>(tl.failure_count()));
-  EXPECT_EQ(out.rec.repairs(), static_cast<std::int64_t>(tl.repair_count()));
-  EXPECT_EQ(out.rec.exclusions(), out.rec.inclusions())
+  EXPECT_EQ(out.counters.failures,
+            static_cast<std::int64_t>(tl.failure_count()));
+  EXPECT_EQ(out.counters.repairs,
+            static_cast<std::int64_t>(tl.repair_count()));
+  EXPECT_EQ(out.counters.exclusions, out.counters.inclusions)
       << "case " << index << ": exclusion churn did not settle";
 
   // Data-plane cases: the byte-conservation auditor must have balanced
   // its ledger at every epoch boundary (it aborts the run otherwise), and
   // ARQ must leave nothing abandoned — the drain above is byte-exact.
   if (cc.cfg.data_fault.enabled) {
-    const ConservationAuditor* auditor = fab.conservation_auditor();
-    EXPECT_NE(auditor, nullptr) << "case " << index << ": auditor not armed";
-    if (auditor != nullptr) {
-      out.conservation_checks = auditor->checks();
-      EXPECT_GT(auditor->checks(), 0)
-          << "case " << index << ": the auditor never ran";
-    }
+    EXPECT_NE(fab.conservation_auditor(), nullptr)
+        << "case " << index << ": auditor not armed";
+    EXPECT_GT(out.counters.conservation_checks, 0)
+        << "case " << index << ": the auditor never ran";
     if (const HostTransport* t = fab.host_transport()) {
       EXPECT_EQ(t->abandoned_bytes(), 0)
           << "case " << index << ": ARQ gave up on "
@@ -455,32 +434,15 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   return out;
 }
 
-/// Folds one case's recorder into the binary-wide aggregate the
-/// NEG_CHAOS_JSON artifact is written from.
+/// Folds one case into the binary-wide aggregate the NEG_CHAOS_JSON
+/// artifact is written from.
 void accumulate(const ChaosOutcome& out) {
-  g_totals.failures += out.rec.failures();
-  g_totals.exclusion_churn += out.rec.exclusion_churn();
-  g_totals.blackholed += out.rec.blackholed_bytes();
   g_totals.injected += out.injected;
-  g_totals.detection_count += out.rec.detection().count;
-  g_totals.detection_sum += static_cast<double>(out.rec.detection().sum);
-  g_totals.control_dropped += out.rec.control_dropped();
-  g_totals.control_delayed += out.rec.control_delayed();
-  g_totals.control_duplicated += out.rec.control_duplicated();
-  g_totals.degraded_slots += out.rec.degraded_slots();
-  g_totals.fallback_bytes += out.rec.fallback_bytes();
-  g_totals.control_grants += out.rec.control_grants();
-  g_totals.control_accepts += out.rec.control_accepts();
-  g_totals.data_dropped += out.rec.data_dropped();
-  g_totals.data_corrupted += out.rec.data_corrupted();
-  g_totals.retransmitted_bytes += out.rec.retransmitted_bytes();
-  g_totals.spurious_retx += out.rec.spurious_retx();
-  g_totals.rto_fires += out.rec.rto_fires();
-  g_totals.conservation_checks += out.conservation_checks;
+  g_totals.counters += out.counters;
 }
 
 /// Writes the aggregate artifact after every sweep has run, so the
-/// control-plane counters from the lossy sweep are included.
+/// counters from the lossy sweeps are included.
 class ChaosJsonEnvironment final : public ::testing::Environment {
  public:
   void TearDown() override {
@@ -489,51 +451,12 @@ class ChaosJsonEnvironment final : public ::testing::Environment {
     std::FILE* f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr) << "cannot write " << path;
     const SweepTotals& t = g_totals;
-    std::fprintf(
-        f,
-        "{\n  \"scenarios\": %d,\n  \"lossy_cases\": %d,\n"
-        "  \"data_loss_cases\": %d,\n"
-        "  \"total_failures\": %lld,\n"
-        "  \"total_exclusion_churn\": %lld,\n"
-        "  \"total_blackholed_bytes\": %lld,\n"
-        "  \"total_injected_bytes\": %lld,\n"
-        "  \"detection_samples\": %lld,\n"
-        "  \"detection_mean_ns\": %.1f,\n"
-        "  \"total_control_dropped\": %lld,\n"
-        "  \"total_control_delayed\": %lld,\n"
-        "  \"total_control_duplicated\": %lld,\n"
-        "  \"total_degraded_slots\": %lld,\n"
-        "  \"total_fallback_bytes\": %lld,\n"
-        "  \"total_control_grants\": %lld,\n"
-        "  \"total_control_accepts\": %lld,\n"
-        "  \"total_data_dropped\": %lld,\n"
-        "  \"total_data_corrupted\": %lld,\n"
-        "  \"total_retransmitted_bytes\": %lld,\n"
-        "  \"total_spurious_retx\": %lld,\n"
-        "  \"total_rto_fires\": %lld,\n"
-        "  \"total_conservation_checks\": %lld\n}\n",
-        t.scenarios, t.lossy_cases, t.data_loss_cases,
-        static_cast<long long>(t.failures),
-        static_cast<long long>(t.exclusion_churn),
-        static_cast<long long>(t.blackholed),
-        static_cast<long long>(t.injected),
-        static_cast<long long>(t.detection_count),
-        t.detection_count > 0
-            ? t.detection_sum / static_cast<double>(t.detection_count)
-            : 0.0,
-        static_cast<long long>(t.control_dropped),
-        static_cast<long long>(t.control_delayed),
-        static_cast<long long>(t.control_duplicated),
-        static_cast<long long>(t.degraded_slots),
-        static_cast<long long>(t.fallback_bytes),
-        static_cast<long long>(t.control_grants),
-        static_cast<long long>(t.control_accepts),
-        static_cast<long long>(t.data_dropped),
-        static_cast<long long>(t.data_corrupted),
-        static_cast<long long>(t.retransmitted_bytes),
-        static_cast<long long>(t.spurious_retx),
-        static_cast<long long>(t.rto_fires),
-        static_cast<long long>(t.conservation_checks));
+    const std::string json =
+        to_json(t.counters, {{"scenarios", t.scenarios},
+                             {"lossy_cases", t.lossy_cases},
+                             {"data_loss_cases", t.data_loss_cases},
+                             {"injected_bytes", t.injected}});
+    std::fprintf(f, "%s\n", json.c_str());
     std::fclose(f);
   }
 };
@@ -552,7 +475,8 @@ TEST(ChaosScenarios, InvariantsHoldAcrossSeededScenarioSweep) {
     }
   }
   g_totals.scenarios = count;
-  EXPECT_GT(g_totals.failures, 0) << "the sweep never injected a fault";
+  EXPECT_GT(g_totals.counters.failures, 0)
+      << "the sweep never injected a fault";
 }
 
 TEST(ChaosScenarios, LossyControlPlaneSweepHoldsInvariants) {
@@ -570,7 +494,7 @@ TEST(ChaosScenarios, LossyControlPlaneSweepHoldsInvariants) {
     const ChaosCase cc = build_lossy_case(i);
     const ChaosOutcome out = run_case(cc, i);
     accumulate(out);
-    dropped += out.rec.control_dropped();
+    dropped += out.counters.control_dropped;
     if (cc.cfg.control_fault.fallback) ++fallback_cases;
     if (::testing::Test::HasFailure()) {
       FAIL() << "stopping the lossy sweep at case " << i << " ("
@@ -599,10 +523,10 @@ TEST(ChaosScenarios, CombinedFaultDataLossSweepHoldsInvariants) {
     const ChaosCase cc = build_data_loss_case(i);
     const ChaosOutcome out = run_case(cc, i);
     accumulate(out);
-    dropped += out.rec.data_dropped();
-    retransmitted += static_cast<std::int64_t>(out.rec.retransmitted_bytes());
-    checks += out.conservation_checks;
-    if (out.rec.failures() > 0) ++triple_fault_cases;
+    dropped += out.counters.data_dropped;
+    retransmitted += out.counters.retransmitted_bytes;
+    checks += out.counters.conservation_checks;
+    if (out.counters.failures > 0) ++triple_fault_cases;
     if (::testing::Test::HasFailure()) {
       FAIL() << "stopping the data-loss sweep at case " << i << " ("
              << cc.cfg.summary() << ")";
@@ -642,11 +566,7 @@ TEST(ChaosScenarios, FixedSeedScenariosAreReproducible) {
     const ChaosOutcome b = run_case(cc, i);
     EXPECT_EQ(a.completed, b.completed) << "case " << i;
     EXPECT_EQ(a.injected, b.injected) << "case " << i;
-    EXPECT_EQ(a.events, b.events) << "case " << i;
-    EXPECT_EQ(a.rec.exclusion_churn(), b.rec.exclusion_churn())
-        << "case " << i;
-    EXPECT_EQ(a.rec.blackholed_bytes(), b.rec.blackholed_bytes())
-        << "case " << i;
+    EXPECT_EQ(a.counters, b.counters) << "case " << i;
   }
 }
 

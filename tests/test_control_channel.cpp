@@ -2,7 +2,8 @@
 // the channel's draw-order and brownout semantics, bit-identity of a
 // zero-rate channel with a channel-free build, starvation under total
 // loss, the per-slot oblivious fallback's stranded-byte dividend, the
-// MatchingValidator invariants, and the ResilienceRecorder round-trip.
+// MatchingValidator invariants, and the control counts the fabric's
+// counters snapshot reads from the channel.
 // tests/test_pipeline_lossy.cpp is the unit-level companion that sweeps
 // raw delivery loss without the seeded channel.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/config.h"
@@ -18,7 +20,7 @@
 #include "core/matching_validator.h"
 #include "core/negotiator_scheduler.h"
 #include "engine/runner.h"
-#include "stats/resilience_recorder.h"
+#include "stats/fabric_counters.h"
 #include "topo/parallel.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -52,15 +54,15 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t bits) {
 /// Full-output fingerprint (FCT samples + summary), same recipe as the
 /// golden table in test_seed_equivalence.cpp.
 std::uint64_t run_fingerprint(const NetworkConfig& cfg,
-                              ResilienceRecorder* recorder = nullptr,
-                              RunResult* out = nullptr) {
+                              RunResult* out = nullptr,
+                              FabricCounters* counters = nullptr) {
   Runner runner(cfg);
-  if (recorder != nullptr) runner.fabric().set_resilience(recorder);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), 0.6, Rng(cfg.seed));
   runner.add_flows(gen.generate(0, kDuration));
   const RunResult r = runner.run(kDuration, kDuration / 4);
   if (out != nullptr) *out = r;
+  if (counters != nullptr) *counters = runner.fabric().counters();
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const FctSample& s : runner.fabric().fct().samples()) {
     h = fnv_mix(h, static_cast<std::uint64_t>(s.flow));
@@ -192,39 +194,39 @@ TEST(ControlChannel, BrownoutRaisesTheFloorOnlyInsideTheWindow) {
   EXPECT_EQ(channel.classified(), 150);
 }
 
-TEST(ControlChannel, RecorderCountersMirrorTheChannel) {
-  ControlFaultConfig f = lossy(0.4);
-  f.delay_prob = 0.3;
-  f.duplicate_prob = 0.2;
-  ControlChannel channel(f, Rng(13 ^ kControlChannelSeedSalt));
-  ResilienceRecorder rec(4, 2);
-  channel.set_recorder(&rec);
-  channel.begin_epoch(0);
-  for (int i = 0; i < 3'000; ++i) {
-    channel.classify(static_cast<ControlClass>(i % 3));
+// Each control count is stored once, by the channel or the fabric's
+// fallback path: the counters snapshot and its JSON carry those counts.
+TEST(ControlChannel, CountersCarryTheChannelsOwnCounts) {
+  NetworkConfig cfg = base_config(95);
+  cfg.control_fault = lossy(0.4, /*fallback=*/true);
+  cfg.control_fault.delay_prob = 0.3;
+  cfg.control_fault.duplicate_prob = 0.2;
+  Runner runner(cfg);
+  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                        cfg.host_rate(), 0.6, Rng(cfg.seed));
+  runner.add_flows(gen.generate(0, kDuration));
+  runner.run(kDuration);
+  const auto& fabric = dynamic_cast<const NegotiatorFabric&>(runner.fabric());
+  const ControlChannel* channel = fabric.control_channel();
+  ASSERT_NE(channel, nullptr);
+  const FabricCounters c = fabric.counters();
+  const std::string json = to_json(c);
+  const std::tuple<const char*, std::int64_t, std::int64_t> rows[] = {
+      {"control_dropped", c.control_dropped, channel->dropped()},
+      {"control_delayed", c.control_delayed, channel->delayed()},
+      {"control_duplicated", c.control_duplicated, channel->duplicated()},
+      {"degraded_slots", c.degraded_slots, fabric.degraded_slots()},
+      {"fallback_bytes", c.fallback_bytes, fabric.fallback_bytes()},
+  };
+  for (const auto& [key, snapshot, own] : rows) {
+    EXPECT_GT(own, 0) << key;
+    EXPECT_EQ(snapshot, own) << key;
+    std::string field = "\"";
+    field.append(key).append("\": ").append(std::to_string(own)) += ',';
+    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
   }
-  EXPECT_GT(channel.dropped(), 0);
-  EXPECT_GT(channel.delayed(), 0);
-  EXPECT_GT(channel.duplicated(), 0);
-  EXPECT_EQ(rec.control_dropped(), channel.dropped());
-  EXPECT_EQ(rec.control_delayed(), channel.delayed());
-  EXPECT_EQ(rec.control_duplicated(), channel.duplicated());
-
-  rec.on_degraded_slot();
-  rec.on_fallback_delivery(1'234);
-  rec.on_control_match(10, 7);
-  EXPECT_EQ(rec.degraded_slots(), 1);
-  EXPECT_EQ(rec.fallback_bytes(), 1'234);
-  EXPECT_DOUBLE_EQ(rec.control_match_ratio(), 0.7);
-
-  const std::string json = rec.json();
-  for (const char* field :
-       {"control_dropped", "control_delayed", "control_duplicated",
-        "degraded_slots", "fallback_bytes", "control_grants",
-        "control_accepts", "control_match_ratio"}) {
-    EXPECT_NE(json.find(field), std::string::npos) << field;
-  }
-  EXPECT_NE(json.find("\"fallback_bytes\": 1234"), std::string::npos);
+  EXPECT_GT(c.control_grants, 0);
+  EXPECT_GE(c.control_grants, c.control_accepts);
 }
 
 TEST(MatchingValidator, AcceptsLegalAndRejectsConflictingMatches) {
@@ -276,28 +278,28 @@ TEST(MatchingValidator, AcceptsLegalAndRejectsConflictingMatches) {
 
 // The acceptance bar for the fallback: at heavy control loss, enabling the
 // per-slot oblivious fallback must strictly reduce the bytes stranded in
-// the source queues at the end of the run, and the recorder must see the
+// the source queues at the end of the run, and the counters must show the
 // fallback working.
 TEST(ControlChannel, FallbackStrictlyReducesStrandedBytes) {
   NetworkConfig no_fb = base_config(95);
   no_fb.control_fault = lossy(0.4, /*fallback=*/false);
   RunResult without;
-  run_fingerprint(no_fb, nullptr, &without);
+  run_fingerprint(no_fb, &without);
 
   NetworkConfig fb = base_config(95);
   fb.control_fault = lossy(0.4, /*fallback=*/true);
-  ResilienceRecorder rec(fb.num_tors, fb.ports_per_tor);
   RunResult with;
-  run_fingerprint(fb, &rec, &with);
+  FabricCounters c;
+  run_fingerprint(fb, &with, &c);
 
   EXPECT_LT(with.backlog, without.backlog);
   EXPECT_GE(with.completed, without.completed);
-  EXPECT_GT(rec.degraded_slots(), 0);
-  EXPECT_GT(rec.fallback_bytes(), 0);
-  EXPECT_GT(rec.control_dropped(), 0);
-  EXPECT_GT(rec.control_grants(), 0);
-  EXPECT_GT(rec.control_match_ratio(), 0.0);
-  EXPECT_LE(rec.control_match_ratio(), 1.0);
+  EXPECT_GT(c.degraded_slots, 0);
+  EXPECT_GT(c.fallback_bytes, 0);
+  EXPECT_GT(c.control_dropped, 0);
+  EXPECT_GT(c.control_grants, 0);
+  EXPECT_GT(c.control_match_ratio(), 0.0);
+  EXPECT_LE(c.control_match_ratio(), 1.0);
 }
 
 }  // namespace

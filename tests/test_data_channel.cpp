@@ -1,12 +1,14 @@
 // Unit contract for the lossy data plane (core/data_channel.h): the
 // per-chunk draw-order and loss-window semantics, bit-identity of a
 // zero-rate channel with a channel-free build (both fabrics), per-hop-
-// class independence, the ResilienceRecorder mirror, and the byte-
-// conservation auditor's ledger across lossy runs without ARQ.
+// class independence, the data counts the fabric's counters snapshot
+// reads from the channel, and the byte-conservation auditor's ledger
+// across lossy runs without ARQ.
 // tests/test_host_transport.cpp covers the end-host ARQ layered on top.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -14,7 +16,7 @@
 #include "engine/conservation_auditor.h"
 #include "engine/network.h"
 #include "engine/runner.h"
-#include "stats/resilience_recorder.h"
+#include "stats/fabric_counters.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
@@ -44,15 +46,15 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t bits) {
 /// Full-output fingerprint (FCT samples + summary), same recipe as the
 /// golden table in test_seed_equivalence.cpp.
 std::uint64_t run_fingerprint(const NetworkConfig& cfg,
-                              ResilienceRecorder* recorder = nullptr,
-                              RunResult* out = nullptr) {
+                              RunResult* out = nullptr,
+                              FabricCounters* counters = nullptr) {
   Runner runner(cfg);
-  if (recorder != nullptr) runner.fabric().set_resilience(recorder);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), 0.6, Rng(cfg.seed));
   runner.add_flows(gen.generate(0, kDuration));
   const RunResult r = runner.run(kDuration, kDuration / 4);
   if (out != nullptr) *out = r;
+  if (counters != nullptr) *counters = runner.fabric().counters();
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const FctSample& s : runner.fabric().fct().samples()) {
     h = fnv_mix(h, static_cast<std::uint64_t>(s.flow));
@@ -164,35 +166,37 @@ TEST(DataChannel, HopClassRatesAreIndependent) {
   EXPECT_EQ(channel.dropped_bytes(), 4'000);
 }
 
-TEST(DataChannel, RecorderCountersMirrorTheChannel) {
-  DataFaultConfig f = lossy_data(0.4, 0.2);
-  DataChannel channel(f, make_salted_stream(13, kDataChannelSeedSalt));
-  ResilienceRecorder rec(4, 2);
-  channel.set_recorder(&rec);
-  channel.begin_epoch(0);
-  for (int i = 0; i < 3'000; ++i) {
-    channel.classify(static_cast<DataHopClass>(i % 3), 500);
-  }
-  EXPECT_GT(channel.dropped(), 0);
-  EXPECT_GT(channel.corrupted(), 0);
-  EXPECT_EQ(rec.data_dropped(), channel.dropped());
-  EXPECT_EQ(rec.data_corrupted(), channel.corrupted());
-  EXPECT_EQ(rec.data_dropped_bytes(), channel.dropped_bytes());
-  EXPECT_EQ(rec.data_corrupted_bytes(), channel.corrupted_bytes());
-
-  const std::string json = rec.json();
-  EXPECT_EQ(json.find("{\"schema_version\": 2, "), 0u)
+// Each data count is stored once, by the channel: the counters snapshot
+// and its JSON (schema_version first) carry those counts.
+TEST(DataChannel, CountersCarryTheChannelsOwnCounts) {
+  NetworkConfig cfg = base_config(13);
+  cfg.data_fault = lossy_data(0.4, 0.2);
+  Runner runner(cfg);
+  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                        cfg.host_rate(), 0.6, Rng(cfg.seed));
+  runner.add_flows(gen.generate(0, kDuration));
+  runner.run(kDuration);
+  const DataChannel* channel = runner.fabric().data_channel();
+  ASSERT_NE(channel, nullptr);
+  const FabricCounters c = runner.fabric().counters();
+  const std::string json = to_json(c);
+  EXPECT_EQ(json.find("{\"schema_version\": 3, "), 0u)
       << "schema_version must lead the object: " << json;
-  for (const char* field :
-       {"data_dropped", "data_corrupted", "data_dropped_bytes",
-        "data_corrupted_bytes", "retransmitted_bytes", "spurious_retx",
-        "rto_fires", "max_backoff_reached"}) {
-    EXPECT_NE(json.find(field), std::string::npos) << field;
+  const std::tuple<const char*, std::int64_t, std::int64_t> rows[] = {
+      {"data_dropped", c.data_dropped, channel->dropped()},
+      {"data_corrupted", c.data_corrupted, channel->corrupted()},
+      {"data_dropped_bytes", c.data_dropped_bytes, channel->dropped_bytes()},
+      {"data_corrupted_bytes", c.data_corrupted_bytes,
+       channel->corrupted_bytes()},
+  };
+  for (const auto& [key, snapshot, own] : rows) {
+    EXPECT_GT(own, 0) << key;
+    EXPECT_EQ(snapshot, own) << key;
+    std::string field = "\"";
+    field.append(key).append("\": ").append(std::to_string(own)) += ',';
+    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
   }
-  // Fixed order: dropped counts precede byte counts precede ARQ counters.
-  EXPECT_LT(json.find("data_dropped"), json.find("data_corrupted"));
-  EXPECT_LT(json.find("data_corrupted_bytes"), json.find("retransmitted_bytes"));
-  EXPECT_LT(json.find("retransmitted_bytes"), json.find("rto_fires"));
+  EXPECT_EQ(c.retransmitted_bytes, 0) << "no ARQ, no retransmissions";
 }
 
 // Without ARQ, dropped bytes are gone for good: the conservation auditor
@@ -231,23 +235,23 @@ TEST(DataChannel, ConservationLedgerBalancesOnTheObliviousFabric) {
 }
 
 // Loss is loss: at a fixed seed and horizon, a lossy run can never
-// complete more flows than the lossless twin, and the recorder must see
+// complete more flows than the lossless twin, and the counters must show
 // the dropped bytes.
 TEST(DataChannel, DropsStrictlyHurtWithoutArq) {
   NetworkConfig clean = base_config(86);
   RunResult clean_result;
-  run_fingerprint(clean, nullptr, &clean_result);
+  run_fingerprint(clean, &clean_result);
 
   NetworkConfig lossy_cfg = base_config(86);
   lossy_cfg.data_fault = lossy_data(0.3);
-  ResilienceRecorder rec(lossy_cfg.num_tors, lossy_cfg.ports_per_tor);
   RunResult lossy_result;
-  run_fingerprint(lossy_cfg, &rec, &lossy_result);
+  FabricCounters c;
+  run_fingerprint(lossy_cfg, &lossy_result, &c);
 
   EXPECT_LT(lossy_result.completed, clean_result.completed);
-  EXPECT_GT(rec.data_dropped(), 0);
-  EXPECT_GT(rec.data_dropped_bytes(), 0);
-  EXPECT_EQ(rec.retransmitted_bytes(), 0) << "no ARQ, no retransmissions";
+  EXPECT_GT(c.data_dropped, 0);
+  EXPECT_GT(c.data_dropped_bytes, 0);
+  EXPECT_EQ(c.retransmitted_bytes, 0) << "no ARQ, no retransmissions";
 }
 
 }  // namespace

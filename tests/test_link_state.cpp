@@ -48,16 +48,5 @@ TEST(LinkState, FailIsIdempotent) {
   EXPECT_EQ(links.failed_count(), 0);
 }
 
-TEST(LinkState, RepairAll) {
-  LinkState links(4, 2);
-  links.fail(0, 0, LinkDirection::kEgress);
-  links.fail(1, 1, LinkDirection::kIngress);
-  links.fail(3, 0, LinkDirection::kEgress);
-  EXPECT_EQ(links.failed_count(), 3);
-  links.repair_all();
-  EXPECT_EQ(links.failed_count(), 0);
-  EXPECT_TRUE(links.path_up(0, 0, 1, 1));
-}
-
 }  // namespace
 }  // namespace negotiator
