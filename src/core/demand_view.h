@@ -6,8 +6,10 @@
 // relay_active_sources() / relay_active_destinations() are maintained
 // incrementally by the fabric (marked on the enqueue that makes a queue
 // non-empty, cleared on the dequeue that drains it), so the per-epoch
-// pipeline can iterate only ToRs with work — a quiescent epoch costs
-// O(active), never O(N) or O(N^2).
+// pipeline can iterate only ToRs with work. The three ActiveSets walk a
+// sorted vector, O(active); relay_active_destinations() is a TorBitmap,
+// O(1) to mark or clear on the relay hot path and O(N/64 + active) to
+// walk. A quiescent epoch never costs O(N) per ToR or O(N^2).
 #pragma once
 
 #include "common/active_set.h"
@@ -40,7 +42,7 @@ class DemandView {
   virtual Bytes relay_pending(TorId tor, TorId final_dst) const = 0;
   virtual Bytes relay_queue_total(TorId tor) const = 0;
   /// Final destinations with relayed bytes parked at `tor`, ascending.
-  virtual const ActiveSet& relay_active_destinations(TorId tor) const = 0;
+  virtual const TorBitmap& relay_active_destinations(TorId tor) const = 0;
   /// ToRs holding any parked relay bytes, ascending. Default: none (only
   /// the selective-relay fabric has relay queues).
   virtual const ActiveSet& relay_active_sources() const {

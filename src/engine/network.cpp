@@ -875,9 +875,9 @@ Bytes NegotiatorFabric::relay_queue_total(TorId tor) const {
   return relay_[static_cast<std::size_t>(tor)].total_bytes();
 }
 
-const ActiveSet& NegotiatorFabric::relay_active_destinations(
+const TorBitmap& NegotiatorFabric::relay_active_destinations(
     TorId tor) const {
-  static const ActiveSet kEmpty;
+  static const TorBitmap kEmpty;
   if (!relay_enabled_) return kEmpty;
   return relay_[static_cast<std::size_t>(tor)].active_destinations();
 }

@@ -344,7 +344,7 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   Bytes cumulative_arrived(TorId src, TorId dst) const override;
   Bytes relay_pending(TorId tor, TorId final_dst) const override;
   Bytes relay_queue_total(TorId tor) const override;
-  const ActiveSet& relay_active_destinations(TorId tor) const override;
+  const TorBitmap& relay_active_destinations(TorId tor) const override;
   const ActiveSet& relay_active_sources() const override;
   const ActiveSet& active_destinations(TorId src) const override;
   const ActiveSet& active_sources() const override;

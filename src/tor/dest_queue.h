@@ -129,8 +129,7 @@ class DestQueueSet {
 
   /// Draws up to `max_packets` packets exactly as that many sequential
   /// dequeue_packet calls would — same packets, same level order — writing
-  /// them to `out`. Returns the number drawn. The bulk form behind
-  /// TorSwitch::dequeue_span.
+  /// them to `out`. Returns the number drawn.
   std::size_t dequeue_span(int q, Bytes max_payload, std::size_t max_packets,
                            QueuedPacket* out) {
     NEG_ASSERT(max_payload > 0, "packet payload must be positive");

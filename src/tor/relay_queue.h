@@ -33,7 +33,8 @@ struct RelayChunk {
 /// 16-byte header {head, tail, bytes}, so the byte count a fabric checks
 /// before a dequeue and the head index the dequeue follows share a cache
 /// line, and a new chunk for any destination reuses the most recently
-/// freed (cache-warm) node.
+/// freed (cache-warm) node. Occupancy is a TorBitmap, so marking or
+/// clearing a destination costs one bit flip on the enqueue/drain path.
 class RelayQueueSet {
  public:
   explicit RelayQueueSet(int num_tors);
@@ -125,10 +126,11 @@ class RelayQueueSet {
   Bytes total_bytes() const { return total_bytes_; }
   bool empty_for(TorId final_dst) const { return bytes_for(final_dst) == 0; }
 
-  /// Final destinations with parked bytes, ascending. Dirty-set invariant:
-  /// enqueue() marks on the empty -> non-empty flip, dequeue_span() clears
-  /// on drain; mutations are O(active) only on flips.
-  const ActiveSet& active_destinations() const { return active_; }
+  /// Final destinations with parked bytes, walked ascending. Dirty-set
+  /// invariant: enqueue() sets the destination's bit on the empty ->
+  /// non-empty flip and dequeue_span() clears it on drain, each O(1); a
+  /// full walk costs O(N/64 + active).
+  const TorBitmap& active_destinations() const { return active_; }
 
  private:
   struct Node {
@@ -166,7 +168,7 @@ class RelayQueueSet {
   std::vector<Queue> queues_;  // per final destination
   std::vector<Node> arena_;    // shared by all queues; free list recycles
   std::int32_t free_head_{-1};
-  ActiveSet active_;
+  TorBitmap active_;
   Bytes total_bytes_{0};
 };
 

@@ -7,7 +7,6 @@
 // contiguous loads.
 #pragma once
 
-#include <cstddef>
 #include <optional>
 
 #include "common/active_set.h"
@@ -28,10 +27,6 @@ class TorSwitch {
   /// Buffers a flow that the hosts below pushed up (flow.src == id()).
   void accept_flow(const Flow& flow, Nanos now);
 
-  /// Buffers raw bytes towards `dst` at `level` (retransmits, relay input).
-  void enqueue_bytes(TorId dst, FlowId flow, Bytes bytes, Nanos now,
-                     int level);
-
   /// Draws one packet bound for `dst` (highest priority first). Inline:
   /// called once per transmitted packet.
   std::optional<QueuedPacket> dequeue_packet(TorId dst, Bytes max_payload) {
@@ -42,20 +37,6 @@ class TorSwitch {
       note_dequeued(dst);
     }
     return packet;
-  }
-
-  /// Draws up to `max_packets` packets bound for `dst` exactly as that many
-  /// sequential dequeue_packet calls would, with one occupancy/active-set
-  /// update. Returns the number drawn — the bulk drain path for coalesced
-  /// delivery walks.
-  std::size_t dequeue_span(TorId dst, Bytes max_payload,
-                           std::size_t max_packets, QueuedPacket* out) {
-    check_dst(dst);
-    const std::size_t n = store_.dequeue_span(dst, max_payload, max_packets,
-                                              out);
-    for (std::size_t i = 0; i < n; ++i) total_pending_ -= out[i].bytes;
-    if (n > 0) note_dequeued(dst);
-    return n;
   }
 
   /// Draws one packet of only the lowest-priority data (selective relay).

@@ -34,8 +34,8 @@ class LossyDemand : public DemandView {
   Bytes cumulative_arrived(TorId, TorId) const override { return 1'000'000; }
   Bytes relay_pending(TorId, TorId) const override { return 0; }
   Bytes relay_queue_total(TorId) const override { return 0; }
-  const ActiveSet& relay_active_destinations(TorId) const override {
-    static const ActiveSet kEmpty;
+  const TorBitmap& relay_active_destinations(TorId) const override {
+    static const TorBitmap kEmpty;
     return kEmpty;
   }
   const ActiveSet& active_destinations(TorId s) const override {

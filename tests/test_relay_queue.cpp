@@ -127,96 +127,107 @@ TEST(RelayQueue, ArenaMatchesDequeReferenceModel) {
   // drains of one destination free nodes the next enqueue elsewhere reuses
   // (free list shared across destinations); seq-0 chunks larger than the
   // payload force partial takes, while seq-carrying units stay at most one
-  // payload so they never split — as the ARQ transport sizes them.
-  const int kTors = 16;
-  const Bytes kPayload = 1'000;
-  RelayQueueSet arena(kTors);
-  RelayModel model(kTors);
-  Rng rng(20'240'613);
-  std::uint32_t next_seq = 1;
-  std::size_t drained_nodes = 0;
-  std::size_t partial_takes = 0;
-  std::size_t coalesced = 0;
-  auto draw_chunk = [&](TorId& dst, FlowId& flow, Bytes& bytes,
-                        std::uint32_t& seq) {
-    dst = static_cast<TorId>(rng.next_below(kTors));
-    flow = static_cast<FlowId>(rng.next_below(4));
-    if (rng.next_below(3) == 0) {
-      // A seq-carrying unit: a fresh seq, or a repeat of the last one so
-      // the same-seq tail merge is exercised too.
-      seq = rng.next_below(2) == 0 ? next_seq++ : next_seq - 1;
-      bytes = 1 + static_cast<Bytes>(rng.next_below(kPayload / 2));
-    } else {
-      seq = 0;
-      bytes = 1 + static_cast<Bytes>(rng.next_below(3 * kPayload));
+  // payload so they never split — as the ARQ transport sizes them. Each
+  // step also walks the occupancy bitmap, at one bitmap word (16 ToRs) and
+  // across four (200 ToRs).
+  for (const int kTors : {16, 200}) {
+    SCOPED_TRACE(::testing::Message() << kTors << " ToRs");
+    const Bytes kPayload = 1'000;
+    RelayQueueSet arena(kTors);
+    RelayModel model(kTors);
+    Rng rng(20'240'613);
+    std::uint32_t next_seq = 1;
+    std::size_t drained_nodes = 0;
+    std::size_t partial_takes = 0;
+    std::size_t coalesced = 0;
+    auto draw_chunk = [&](TorId& dst, FlowId& flow, Bytes& bytes,
+                          std::uint32_t& seq) {
+      dst = static_cast<TorId>(rng.next_below(kTors));
+      flow = static_cast<FlowId>(rng.next_below(4));
+      if (rng.next_below(3) == 0) {
+        // A seq-carrying unit: a fresh seq, or a repeat of the last one so
+        // the same-seq tail merge is exercised too.
+        seq = rng.next_below(2) == 0 ? next_seq++ : next_seq - 1;
+        bytes = 1 + static_cast<Bytes>(rng.next_below(kPayload / 2));
+      } else {
+        seq = 0;
+        bytes = 1 + static_cast<Bytes>(rng.next_below(3 * kPayload));
+      }
+    };
+    for (int step = 0; step < 20'000; ++step) {
+      const std::int64_t op = rng.next_below(10);
+      const Nanos now = step;
+      if (op < 4) {
+        TorId dst;
+        FlowId flow;
+        Bytes bytes;
+        std::uint32_t seq;
+        draw_chunk(dst, flow, bytes, seq);
+        const std::size_t before = model.chunks_for(dst);
+        // A seq-carrying unit merged past one payload would become
+        // splittable; the transport never produces that, so neither do we.
+        if (seq != 0 && before > 0 && model.bytes_for(dst) + bytes > kPayload) {
+          seq = next_seq++;
+        }
+        arena.enqueue(dst, flow, bytes, now, seq);
+        model.enqueue(dst, flow, bytes, now, seq);
+        if (before > 0 && model.chunks_for(dst) == before) ++coalesced;
+      } else if (op < 6) {
+        std::vector<RelayTrainChunk> train;
+        const int n = 1 + static_cast<int>(rng.next_below(10));
+        for (int i = 0; i < n; ++i) {
+          RelayTrainChunk c{/*intermediate=*/0, 0, 0, 0, 0};
+          draw_chunk(c.final_dst, c.flow, c.bytes, c.seq);
+          if (c.seq != 0) c.seq = next_seq++;
+          train.push_back(c);
+        }
+        arena.enqueue_span(train.data(), train.size(), now);
+        for (const RelayTrainChunk& c : train) {
+          model.enqueue(c.final_dst, c.flow, c.bytes, now, c.seq);
+        }
+      } else {
+        const TorId dst = static_cast<TorId>(rng.next_below(kTors));
+        const std::size_t max_packets =
+            1 + static_cast<std::size_t>(rng.next_below(6));
+        const std::size_t chunks_before = model.chunks_for(dst);
+        RelayChunk got[6];
+        const std::size_t n =
+            arena.dequeue_span(dst, kPayload, max_packets, got);
+        const std::vector<RelayChunk> want =
+            model.dequeue(dst, kPayload, max_packets);
+        ASSERT_EQ(n, want.size()) << "step " << step;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i].flow, want[i].flow) << "step " << step;
+          ASSERT_EQ(got[i].bytes, want[i].bytes) << "step " << step;
+          ASSERT_EQ(got[i].received_at, want[i].received_at) << "step " << step;
+          ASSERT_EQ(got[i].seq, want[i].seq) << "step " << step;
+        }
+        drained_nodes += chunks_before - model.chunks_for(dst);
+        partial_takes += n - (chunks_before - model.chunks_for(dst));
+      }
+      Bytes total = 0;
+      std::vector<TorId> occupied;
+      for (TorId d = 0; d < kTors; ++d) {
+        ASSERT_EQ(arena.bytes_for(d), model.bytes_for(d))
+            << "step " << step << " dst " << d;
+        ASSERT_EQ(arena.active_destinations().contains(d),
+                  model.chunks_for(d) > 0)
+            << "step " << step << " dst " << d;
+        if (model.chunks_for(d) > 0) occupied.push_back(d);
+        total += model.bytes_for(d);
+      }
+      ASSERT_EQ(arena.total_bytes(), total) << "step " << step;
+      const TorBitmap& active = arena.active_destinations();
+      ASSERT_EQ(std::vector<TorId>(active.begin(), active.end()), occupied)
+          << "step " << step;
+      ASSERT_EQ(active.size(), occupied.size()) << "step " << step;
     }
-  };
-  for (int step = 0; step < 20'000; ++step) {
-    const std::int64_t op = rng.next_below(10);
-    const Nanos now = step;
-    if (op < 4) {
-      TorId dst;
-      FlowId flow;
-      Bytes bytes;
-      std::uint32_t seq;
-      draw_chunk(dst, flow, bytes, seq);
-      const std::size_t before = model.chunks_for(dst);
-      // A seq-carrying unit merged past one payload would become
-      // splittable; the transport never produces that, so neither do we.
-      if (seq != 0 && before > 0 && model.bytes_for(dst) + bytes > kPayload) {
-        seq = next_seq++;
-      }
-      arena.enqueue(dst, flow, bytes, now, seq);
-      model.enqueue(dst, flow, bytes, now, seq);
-      if (before > 0 && model.chunks_for(dst) == before) ++coalesced;
-    } else if (op < 6) {
-      std::vector<RelayTrainChunk> train;
-      const int n = 1 + static_cast<int>(rng.next_below(10));
-      for (int i = 0; i < n; ++i) {
-        RelayTrainChunk c{/*intermediate=*/0, 0, 0, 0, 0};
-        draw_chunk(c.final_dst, c.flow, c.bytes, c.seq);
-        if (c.seq != 0) c.seq = next_seq++;
-        train.push_back(c);
-      }
-      arena.enqueue_span(train.data(), train.size(), now);
-      for (const RelayTrainChunk& c : train) {
-        model.enqueue(c.final_dst, c.flow, c.bytes, now, c.seq);
-      }
-    } else {
-      const TorId dst = static_cast<TorId>(rng.next_below(kTors));
-      const std::size_t max_packets =
-          1 + static_cast<std::size_t>(rng.next_below(6));
-      const std::size_t chunks_before = model.chunks_for(dst);
-      RelayChunk got[6];
-      const std::size_t n = arena.dequeue_span(dst, kPayload, max_packets, got);
-      const std::vector<RelayChunk> want =
-          model.dequeue(dst, kPayload, max_packets);
-      ASSERT_EQ(n, want.size()) << "step " << step;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i].flow, want[i].flow) << "step " << step;
-        ASSERT_EQ(got[i].bytes, want[i].bytes) << "step " << step;
-        ASSERT_EQ(got[i].received_at, want[i].received_at) << "step " << step;
-        ASSERT_EQ(got[i].seq, want[i].seq) << "step " << step;
-      }
-      drained_nodes += chunks_before - model.chunks_for(dst);
-      partial_takes += n - (chunks_before - model.chunks_for(dst));
-    }
-    Bytes total = 0;
-    for (TorId d = 0; d < kTors; ++d) {
-      ASSERT_EQ(arena.bytes_for(d), model.bytes_for(d))
-          << "step " << step << " dst " << d;
-      ASSERT_EQ(arena.active_destinations().contains(d),
-                model.chunks_for(d) > 0)
-          << "step " << step << " dst " << d;
-      total += model.bytes_for(d);
-    }
-    ASSERT_EQ(arena.total_bytes(), total) << "step " << step;
+    // The run must actually have covered the cases it claims to.
+    EXPECT_GT(drained_nodes, 1'000u) << "free-list reuse";
+    EXPECT_GT(partial_takes, 1'000u);
+    EXPECT_GT(coalesced, 100u);
+    EXPECT_GT(next_seq, 1'000u) << "seq-carrying units";
   }
-  // The run must actually have covered the cases it claims to.
-  EXPECT_GT(drained_nodes, 1'000u) << "free-list reuse";
-  EXPECT_GT(partial_takes, 1'000u);
-  EXPECT_GT(coalesced, 100u);
-  EXPECT_GT(next_seq, 1'000u) << "seq-carrying units";
 }
 
 // --- Bulk train ingest (enqueue_span) ---

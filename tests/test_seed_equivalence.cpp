@@ -59,6 +59,7 @@ struct Scenario {
   // engine's exact RNG and event sequence.
   double data_drop{0.0};
   bool data_arq{false};
+  Nanos duration{0};  // simulated horizon; 0 means kDuration
 };
 
 constexpr Nanos kDuration = 400'000;  // 0.4 ms simulated
@@ -201,7 +202,12 @@ std::uint64_t fnv_mix_double(std::uint64_t h, double v) {
   return fnv_mix(h, bits);
 }
 
-std::uint64_t run_fingerprint(const Scenario& sc) {
+/// Runs `sc` and hashes its output. `relay_bytes`, when given, receives
+/// the relay (first-hop) bytes the fabric parked inside the measurement
+/// window, so a scenario can prove it exercises the relay queues.
+std::uint64_t run_fingerprint(const Scenario& sc,
+                              Bytes* relay_bytes = nullptr) {
+  const Nanos duration = sc.duration > 0 ? sc.duration : kDuration;
   NetworkConfig cfg;
   cfg.topology = sc.topo;
   cfg.scheduler = sc.sched;
@@ -243,7 +249,7 @@ std::uint64_t run_fingerprint(const Scenario& sc) {
   Runner runner(cfg);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), sc.load, Rng(sc.seed));
-  std::vector<Flow> flows = gen.generate(0, kDuration);
+  std::vector<Flow> flows = gen.generate(0, duration);
   if (sc.chaos != nullptr) {
     Rng chaos_rng(sc.seed * 7919 + 0x5eed);
     const ScenarioTimeline timeline =
@@ -276,7 +282,10 @@ std::uint64_t run_fingerprint(const Scenario& sc) {
     fab.schedule_link_event(240'000, 2, 1, LinkDirection::kIngress, false);
   }
 
-  const RunResult r = runner.run(kDuration, kDuration / 4);
+  const RunResult r = runner.run(duration, duration / 4);
+  if (relay_bytes != nullptr) {
+    *relay_bytes = runner.fabric().goodput().relay_bytes();
+  }
 
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const FctSample& s : runner.fabric().fct().samples()) {
@@ -447,6 +456,17 @@ const Scenario kScenarios[] = {
     {"negotiator/thin-clos/data-brownout", TopologyKind::kThinClos,
      SchedulerKind::kNegotiator, 16, 8, 0.6, 77, false, false, true, true,
      false, 1, "data-brownout", 0.1, true, 0.05, true},
+    // Selective relay at N=128: relay queues and their occupancy bitmaps
+    // span two 64-bit words, so the second-hop destination walk crosses a
+    // word boundary (every other relay golden runs at N=16, one word).
+    {.name = "selective-relay/thin-clos/n128",
+     .topo = TopologyKind::kThinClos,
+     .sched = SchedulerKind::kNegotiatorSelectiveRelay,
+     .num_tors = 128,
+     .ports = 8,
+     .load = 0.9,
+     .seed = 78,
+     .duration = 200'000},
 };
 
 // Golden fingerprints captured from the seed engine (pre-sparse pipeline).
@@ -508,6 +528,7 @@ const Golden kGoldens[] = {
     {"oblivious/parallel/data-loss-arq", 0xd87ed1bf8baf861ULL},
     {"selective-relay/thin-clos/data-loss-arq", 0x9d983938ac8c1422ULL},
     {"negotiator/thin-clos/data-brownout", 0x69f9d5979467b9e6ULL},
+    {"selective-relay/thin-clos/n128", 0x18faa4e62d9e213cULL},
 };
 
 static_assert(std::size(kScenarios) == std::size(kGoldens),
@@ -536,6 +557,17 @@ TEST(SeedEquivalence, RepeatRunsAreIdentical) {
   EXPECT_EQ(run_fingerprint(sc), run_fingerprint(sc));
   const Scenario& ob = kScenarios[24];
   EXPECT_EQ(run_fingerprint(ob), run_fingerprint(ob));
+}
+
+// The N=128 selective-relay golden only guards the multi-word relay walk if
+// the run actually relays: elephant backlogs must cross the relay threshold
+// within its short horizon and park bytes at intermediates.
+TEST(SeedEquivalence, WideSelectiveRelayGoldenParksRelayBytes) {
+  const Scenario& sc = kScenarios[std::size(kScenarios) - 1];
+  ASSERT_STREQ(sc.name, "selective-relay/thin-clos/n128");
+  Bytes relay_bytes = 0;
+  run_fingerprint(sc, &relay_bytes);
+  EXPECT_GT(relay_bytes, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

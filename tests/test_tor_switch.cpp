@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 namespace negotiator {
 namespace {
 
@@ -108,41 +111,6 @@ TEST(ActiveSet, SortedViewAndMembership) {
   EXPECT_EQ(seen, (std::vector<TorId>{2, 7}));
 }
 
-TEST(TorSwitch, DequeueSpanMatchesSequentialDequeues) {
-  // Twin switches with the same flows: a bulk span on one must yield the
-  // exact packets sequential dequeue_packet calls yield on the other, and
-  // leave identical pending/active state behind.
-  TorSwitch bulk(0, 8, PiasConfig{});
-  TorSwitch seq(0, 8, PiasConfig{});
-  for (int i = 0; i < 40; ++i) {
-    const TorId dst = static_cast<TorId>(1 + i % 7);
-    const Flow f = make_flow(i, 0, dst, 1 + (i * 7'919) % 40'000, i);
-    bulk.accept_flow(f, i);
-    seq.accept_flow(f, i);
-  }
-  QueuedPacket span[4];
-  for (int round = 0; round < 400; ++round) {
-    const TorId dst = static_cast<TorId>(1 + round % 7);
-    const std::size_t n = bulk.dequeue_span(dst, 1'115, 4, span);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto want = seq.dequeue_packet(dst, 1'115);
-      ASSERT_TRUE(want.has_value()) << "round " << round;
-      EXPECT_EQ(span[i].flow, want->flow);
-      EXPECT_EQ(span[i].bytes, want->bytes);
-      EXPECT_EQ(span[i].level, want->level);
-      EXPECT_EQ(span[i].enqueued_at, want->enqueued_at);
-    }
-    if (n < 4) {
-      EXPECT_FALSE(seq.dequeue_packet(dst, 1'115).has_value());
-    }
-    ASSERT_EQ(bulk.pending_to(dst), seq.pending_to(dst));
-    ASSERT_EQ(bulk.total_pending(), seq.total_pending());
-    ASSERT_EQ(bulk.active_destinations().contains(dst),
-              seq.active_destinations().contains(dst));
-  }
-  EXPECT_EQ(bulk.total_pending(), 0);
-}
-
 TEST(ActiveSet, SuccessorQueriesScanTheBitmap) {
   ActiveSet set(16);
   for (TorId t : {3, 8, 12}) set.insert(t);
@@ -161,6 +129,38 @@ TEST(ActiveSet, SuccessorQueriesScanTheBitmap) {
   EXPECT_EQ(wide.next_member_after(1), 130);
   EXPECT_EQ(wide.next_member_after(130), kInvalidTor);
   EXPECT_EQ(ActiveSet(8).first_member(), kInvalidTor);
+
+  // The bitmap on its own: members on both sides of every word boundary,
+  // inserted out of order, walk back ascending.
+  static_assert(std::forward_iterator<TorBitmap::const_iterator>);
+  TorBitmap bits(200);
+  const std::vector<TorId> members{0, 1, 63, 64, 65, 127, 128, 130, 191, 199};
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    EXPECT_TRUE(bits.insert(*it));
+  }
+  EXPECT_FALSE(bits.insert(64)) << "duplicate";
+  EXPECT_EQ(bits.size(), members.size());
+  EXPECT_EQ(std::vector<TorId>(bits.begin(), bits.end()), members);
+  EXPECT_EQ(bits.first_member(), 0);
+  EXPECT_EQ(bits.next_member_after(1), 63);
+  EXPECT_EQ(bits.next_member_after(63), 64);
+  EXPECT_EQ(bits.next_member_after(65), 127);
+  EXPECT_EQ(bits.next_member_after(130), 191);
+  EXPECT_EQ(bits.next_member_after(199), kInvalidTor);
+  // Empty a whole word (64..127) and the first member: the walk skips it.
+  for (TorId t : {0, 64, 65, 127}) EXPECT_TRUE(bits.erase(t));
+  EXPECT_FALSE(bits.erase(2)) << "not a member";
+  EXPECT_FALSE(bits.erase(500)) << "past the capacity";
+  EXPECT_EQ(std::vector<TorId>(bits.begin(), bits.end()),
+            (std::vector<TorId>{1, 63, 128, 130, 191, 199}));
+  EXPECT_EQ(bits.next_member_after(63), 128);
+  EXPECT_EQ(bits.size(), 6u);
+  const TorBitmap none(200);
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.begin() == none.end());
+  EXPECT_EQ(none.first_member(), kInvalidTor);
+  const TorBitmap unsized;
+  EXPECT_TRUE(unsized.begin() == unsized.end());
 }
 
 }  // namespace
